@@ -3,9 +3,12 @@
 # a temp socket, register a design both ways (compile on load, and
 # from a pack file), stream a log, and require the daemon's verdict
 # lines to be byte-identical to the one-shot CLI's — for jobs=1 and
-# jobs=2. Also pins the admission contract on the wire: an over-quota
-# tenant gets a structured err line while an in-budget request on the
-# same socket completes. Ends with a protocol-level clean shutdown.
+# jobs=2. A second, repair=1 log sends most entries to SAT, so its
+# response leaves the daemon in several flushed bursts; its bytes
+# must equal the CLI's too. Also pins the admission contract on the
+# wire: an over-quota tenant gets a structured err line while an
+# in-budget request on the same socket completes. Ends with a
+# protocol-level clean shutdown.
 set -eu
 
 cli=$1
@@ -39,6 +42,33 @@ entry() {
   entry 01000000000000000000000000100000
   entry 00011000000000110000000000000000
 } > "$log"
+
+# the same entry with its first timeprint bit flipped: no exact-k
+# witness explains it, so only SAT's repair ladder can
+flip() {
+  entry "$1" | awk '{ b = substr($1, 1, 1) == "0" ? "1" : "0"; print b substr($1, 2), $2 }'
+}
+
+# repair log: the fast-path prefix above, then flipped entries and
+# k=7 entries (past MITM's reach) — twelve SAT-routed entries, two
+# SAT chunks — and a last fast one
+rlog="$dir/rlog"
+{
+  cat "$log"
+  flip 00000000000010000000000100000000
+  flip 00001010000000000000000000000000
+  flip 00010000000001000000000000000000
+  flip 00000000001100000000000000000000
+  flip 01000000000000000000000000100000
+  entry 01101000000010000000100000000011
+  entry 01000010000100001010000000001001
+  entry 00100101000001000100000000001010
+  entry 01010001000000000010100000110000
+  entry 01010001000010000010000000010010
+  entry 00011000110001000110000000000000
+  entry 00010100000000000111010000100000
+  entry 00000000000000000000000000011000
+} > "$rlog"
 
 "$cli" stream $enc "$log" > "$dir/oneshot.out" \
   || fail "one-shot stream failed"
@@ -75,6 +105,19 @@ for design in d p; do
   done
 done
 
+# multi-burst stream: byte-identical to the CLI at the same jobs value
+for jobs in 1 2; do
+  "$cli" stream $enc --repair 1 --jobs "$jobs" "$rlog" > "$dir/oneshot.out" \
+    || fail "one-shot repair stream jobs=$jobs failed"
+  grep -q "repaired" "$dir/oneshot.out" \
+    || fail "repair log produced no repaired entry"
+  "$cli" query --socket "$sock" --log "$rlog" \
+    stream design=d repair=1 "jobs=$jobs" > "$dir/daemon.out" 2> /dev/null \
+    || fail "daemon repair stream jobs=$jobs failed"
+  cmp -s "$dir/oneshot.out" "$dir/daemon.out" \
+    || fail "daemon repair stream jobs=$jobs differs from one-shot CLI"
+done
+
 # admission: a starved tenant is rejected with a structured error,
 # while an in-budget request on the same socket still completes
 "$cli" query --socket "$sock" quota tenant=starved bits=0.1 2> /dev/null \
@@ -97,4 +140,4 @@ wait "$pid" || fail "daemon exited non-zero"
 pid=
 [ ! -S "$sock" ] || fail "socket not unlinked on shutdown"
 
-echo "daemon smoke: stream byte-identical, admission enforced, clean shutdown"
+echo "daemon smoke: streams byte-identical (single and multi-burst), admission enforced, clean shutdown"

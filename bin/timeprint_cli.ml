@@ -419,7 +419,8 @@ let stream_cmd =
     let svc = cli_service enc pack ~warn_stale:true in
     (* verdict lines print from the service's emit callback as chunks
        complete — the same Render strings the daemon streams, so the
-       two front ends agree byte for byte *)
+       two front ends agree byte for byte — and reach stdout once per
+       ready burst *)
     let triages = ref [] in
     let emit i t =
       triages := t :: !triages;
@@ -427,12 +428,13 @@ let stream_cmd =
       (if explain then
          let _, _, tag = t in
          Printf.printf "  [%s]" (Render.tag_name tag));
-      print_newline ()
+      print_char '\n'
     in
     (match
        Service.stream svc ~design:cli_design
-         ~assume:(assume_of p2 pulse deadline window) ~repair ?jobs entries
-         ~emit
+         ~assume:(assume_of p2 pulse deadline window) ~repair ?jobs
+         ~flush:(fun () -> flush stdout)
+         entries ~emit
      with
     | Error e -> service_error e
     | Ok () -> ());

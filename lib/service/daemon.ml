@@ -33,10 +33,17 @@ let service_of_config c =
     ?cache_capacity:c.cache_capacity ?max_running:c.max_running
     ?queue_limit:c.queue_limit ?default_quota_bits:c.default_quota_bits ()
 
+(* Lines are buffered: the connection loop flushes once per response,
+   and a stream additionally once per ready burst of verdicts. *)
 let write_line oc line =
   output_string oc line;
-  output_char oc '\n';
-  flush oc
+  output_char oc '\n'
+
+let rec skip_lines ic n =
+  if n > 0 then
+    match input_line ic with
+    | _ -> skip_lines ic (n - 1)
+    | exception End_of_file -> ()
 
 let pack_kvs session =
   let enc = Plan.session_encoding session in
@@ -115,9 +122,7 @@ let read_stream_body ic n =
           match Wire.parse_entry line with
           | Ok e -> go (e :: acc) (i + 1)
           | Error msg ->
-              for _ = i + 2 to n do
-                ignore (try input_line ic with End_of_file -> "")
-              done;
+              skip_lines ic (n - i - 1);
               Error msg)
   in
   go [] 0
@@ -128,9 +133,10 @@ let handle_stream svc ic oc (r : Wire.request) =
       match read_stream_body ic n with
       | Error msg -> write_line oc (Wire.err_line (Service.Bad_request msg))
       | Ok entries -> (
-          (* verdict lines stream out as chunks complete; the summary
-             is the final payload line. [lines] is known upfront so the
-             client's framing never depends on timing. *)
+          (* verdict lines stream out as chunks complete, one write
+             per ready burst; the summary is the final payload line.
+             [lines] is known upfront so the client's framing never
+             depends on timing. *)
           let triages = ref [] in
           let emit i t =
             triages := t :: !triages;
@@ -147,7 +153,9 @@ let handle_stream svc ic oc (r : Wire.request) =
             end
           in
           match
-            Service.stream svc ?tenant ~design ~repair ?jobs entries
+            Service.stream svc ?tenant ~design ~repair ?jobs
+              ~flush:(fun () -> flush oc)
+              entries
               ~emit:(fun i t ->
                 write_header ();
                 emit i t)
@@ -255,7 +263,12 @@ exception Shutdown_requested
 
 let handle_request svc ic oc line =
   match Wire.parse_request line with
-  | Error msg -> write_line oc (Wire.err_line (Service.Bad_request msg))
+  | Error msg ->
+      (* a stream/flow header that fails to parse still frames its
+         body: consume it, or each body line would be read as a
+         request of its own *)
+      Option.iter (skip_lines ic) (Wire.body_lines line);
+      write_line oc (Wire.err_line (Service.Bad_request msg))
   | Ok (Wire.Load { name; spec }) -> handle_load svc oc name spec
   | Ok (Wire.Quota { tenant; bits }) ->
       Service.set_quota svc ~tenant bits;
@@ -281,18 +294,28 @@ let serve_connection svc fd =
     match input_line ic with
     | exception End_of_file -> ()
     | line ->
-        if String.trim line <> "" then handle_request svc ic oc line;
+        if String.trim line <> "" then begin
+          handle_request svc ic oc line;
+          flush oc
+        end;
         loop ()
   in
+  (* A read or write error (a client that hung up mid-response, with
+     SIGPIPE ignored) ends this connection only. Closing through [oc]
+     closes the descriptor and drops the channel's unsent bytes with
+     it, so nothing can later be flushed into a reused descriptor. *)
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    loop
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> try loop () with Sys_error _ -> ())
 
 let run ?(service : Service.t option) config =
   let svc =
     match service with Some s -> s | None -> service_of_config config
   in
   let path = config.socket_path in
+  (* a peer that closes early must surface as a write error on its own
+     connection, not as a signal that kills the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect

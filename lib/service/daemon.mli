@@ -27,7 +27,13 @@ val run : ?service:Service.t -> config -> unit
 (** Bind [config.socket_path] (unlinking any stale socket first) and
     serve connections until a [shutdown] request arrives; the socket
     is closed and unlinked on the way out, including on exceptions.
-    Pass [?service] to serve a pre-configured {!Service.t} (tests). *)
+    Pass [?service] to serve a pre-configured {!Service.t} (tests).
+
+    Sets SIGPIPE to ignored for the whole process: a client that hangs
+    up, or any other read or write error on a connection, ends that
+    connection only. Responses are written in one flush each, except
+    that a [stream] response is also flushed after every ready burst
+    of verdicts ({!Timeprint.Plan.run_stream_emit}). *)
 
 (** {1 Client side} *)
 

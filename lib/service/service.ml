@@ -112,9 +112,20 @@ let reconstruct t ?(tenant = default_tenant) ~design ?(engine = `Auto)
                     ~fingerprint:fp outcome;
                   Ok { outcome; served = `Ran report })))
 
+(* Cost bits are log₂ of solver steps, so the price of several jobs
+   under one ticket is the log₂ of their summed steps: a log-sum-exp,
+   shifted by the largest term to stay in range. Keep the fold order:
+   perfbench's replay prices streams with a copy of [stream_cost] and
+   must reach the same [cost_bits_admitted] to the last bit. *)
+let log2_sum_exp = function
+  | [] -> 0.
+  | b ->
+      let hi = List.fold_left Float.max neg_infinity b in
+      let sum = List.fold_left (fun a x -> a +. (2. ** (x -. hi))) 0. b in
+      hi +. (Float.log sum /. Float.log 2.)
+
 (* Price a whole stream: admission charges one ticket for the log,
-   log₂-summed over the per-entry estimates (cost bits are log₂ of
-   steps, so the sum of steps is a log-sum-exp). *)
+   log₂-summed over the per-entry estimates. *)
 let stream_cost session ~assume ~repair entries =
   let answer =
     if repair > 0 then Query.Repair { max_flips = repair; k_slack = 0 }
@@ -129,15 +140,10 @@ let stream_cost session ~assume ~repair entries =
         | exception Invalid_argument _ -> None)
       entries
   in
-  match bits with
-  | [] -> 0.
-  | b ->
-      let hi = List.fold_left Float.max neg_infinity b in
-      let sum = List.fold_left (fun a x -> a +. (2. ** (x -. hi))) 0. b in
-      hi +. (Float.log sum /. Float.log 2.)
+  log2_sum_exp bits
 
 let stream t ?(tenant = default_tenant) ~design ?(assume = []) ?(repair = 0)
-    ?jobs entries ~emit =
+    ?jobs ?flush entries ~emit =
   match Design_registry.find t.registry design with
   | None -> Error (Unknown_design design)
   | Some session -> (
@@ -154,7 +160,8 @@ let stream t ?(tenant = default_tenant) ~design ?(assume = []) ?(repair = 0)
         let cost_bits = stream_cost session ~assume ~repair entries in
         match
           Admission.with_ticket t.admission ~tenant ~cost_bits (fun () ->
-              Plan.run_stream_emit ~assume ~repair ?jobs session entries ~emit)
+              Plan.run_stream_emit ~assume ~repair ?jobs ?flush session entries
+                ~emit)
         with
         | Error r -> Error (Rejected r)
         | Ok () -> Ok ())
@@ -192,24 +199,15 @@ let flow t ?(tenant = default_tenant) ?(repair = 0) ?jobs ?max_alts channels
              (Printf.sprintf "channel %s: timeprint width does not match"
                 ch.name))
     | None -> (
-        (* one ticket for the whole flow: per-channel stream costs are
-           log₂ of step sums, so the total is their log-sum-exp (the
-           per-entry ambiguity probes ride inside the same estimate
-           regime) *)
-        let costs =
-          List.map
-            (fun ((ch : Tp_flow.Flow.channel), session) ->
-              stream_cost session ~assume:[] ~repair ch.entries)
-            sessions
-        in
+        (* one ticket for the whole flow, log₂-summed over the
+           per-channel stream costs (the per-entry ambiguity probes
+           ride inside the same estimate regime) *)
         let cost_bits =
-          match costs with
-          | [] -> 0.
-          | b ->
-              let hi = List.fold_left Float.max neg_infinity b in
-              hi +. (Float.log
-                       (List.fold_left (fun a x -> a +. (2. ** (x -. hi))) 0. b)
-                    /. Float.log 2.)
+          log2_sum_exp
+            (List.map
+               (fun ((ch : Tp_flow.Flow.channel), session) ->
+                 stream_cost session ~assume:[] ~repair ch.entries)
+               sessions)
         in
         match
           Admission.with_ticket t.admission ~tenant ~cost_bits (fun () ->

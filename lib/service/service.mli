@@ -85,12 +85,14 @@ val stream :
   ?assume:Property.t list ->
   ?repair:int ->
   ?jobs:int ->
+  ?flush:(unit -> unit) ->
   Log_entry.t list ->
   emit:(int -> Render.triage -> unit) ->
   (unit, error) result
 (** Whole-log triage via {!Timeprint.Plan.run_stream_emit}: one
     admission ticket for the log (per-entry estimates log₂-summed),
-    verdicts emitted strictly in entry order as chunks complete.
+    verdicts emitted strictly in entry order as chunks complete, and
+    [flush] called once after each burst of them (see there).
     Byte-identical to the one-shot path for every [jobs]; not cached
     (see {!Result_cache}). *)
 

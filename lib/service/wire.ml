@@ -154,11 +154,22 @@ let assume_of_fields fs =
          | None -> []);
        ])
 
+let tokens line =
+  String.split_on_char ' ' (String.trim line) |> List.filter (fun s -> s <> "")
+
+let count_of v =
+  match int_of_string_opt v with Some n when n >= 0 -> Some n | _ -> None
+
+let body_count fs =
+  match get fs "n" with
+  | None -> Error "missing n="
+  | Some v -> (
+      match count_of v with
+      | Some n -> Ok n
+      | None -> Error (Printf.sprintf "n=%s is not a count" v))
+
 let parse_request line =
-  match
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun s -> s <> "")
-  with
+  match tokens line with
   | [] -> Error "empty request"
   | verb :: rest -> (
       let* fs = fields rest in
@@ -212,26 +223,12 @@ let parse_request line =
                })
       | "stream" ->
           let* design = req fs "design" in
-          let* n =
-            match get fs "n" with
-            | None -> Error "missing n="
-            | Some v -> (
-                match int_of_string_opt v with
-                | Some n when n >= 0 -> Ok n
-                | _ -> Error (Printf.sprintf "n=%s is not a count" v))
-          in
+          let* n = body_count fs in
           let* repair = int_field fs "repair" ~default:0 in
           let* jobs = int_opt_field fs "jobs" in
           Ok (Stream { design; tenant = get fs "tenant"; n; repair; jobs })
       | "flow" ->
-          let* n =
-            match get fs "n" with
-            | None -> Error "missing n="
-            | Some v -> (
-                match int_of_string_opt v with
-                | Some n when n >= 0 -> Ok n
-                | _ -> Error (Printf.sprintf "n=%s is not a count" v))
-          in
+          let* n = body_count fs in
           let* mode =
             match Option.value (get fs "mode") ~default:"reconstruct" with
             | "reconstruct" -> Ok `Reconstruct
@@ -256,6 +253,20 @@ let parse_request line =
       | "stats" -> Ok Stats
       | "shutdown" -> Ok Shutdown
       | v -> Error (Printf.sprintf "unknown verb %S" v))
+
+(* Read from the [n=] token alone, last one winning as in [fields],
+   so that a header rejected for any other field still frames its
+   body. *)
+let body_lines line =
+  match tokens line with
+  | ("stream" | "flow") :: rest ->
+      List.fold_left
+        (fun acc tok ->
+          if String.starts_with ~prefix:"n=" tok then
+            count_of (String.sub tok 2 (String.length tok - 2))
+          else acc)
+        None rest
+  | _ -> None
 
 (* Stream body lines reuse the CLI log-file syntax: "<tp-bits> <k>". *)
 let parse_entry line =

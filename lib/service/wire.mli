@@ -69,6 +69,13 @@ type request =
   | Shutdown
 
 val parse_request : string -> (request, string) result
+val body_lines : string -> int option
+(** The body length a [stream] or [flow] request line declares with a
+    well-formed [n=], whether or not the rest of the line parses;
+    [None] for any other line. A server that rejects such a header
+    must still consume this many lines to stay in step with the
+    client. *)
+
 val parse_entry : string -> (Log_entry.t, string) result
 val render_entry : Log_entry.t -> string
 (** ["<tp-bits> <k>"] — inverse of {!parse_entry}. *)

@@ -21,6 +21,11 @@ let timestamp e i =
 let timestamps e = Array.map Bitvec.copy e.ts
 let matrix e = F2_matrix.of_columns ~rows:e.b e.ts
 
+(* Compares the internal array, never the copying [timestamps]: a
+   per-request design check must not allocate m bitvectors. *)
+let equal x y =
+  x == y || (x.m = y.m && x.b = y.b && Array.for_all2 Bitvec.equal x.ts y.ts)
+
 let min_b ~m =
   let rec go b = if 1 lsl b >= m then b else go (b + 1) in
   go 1

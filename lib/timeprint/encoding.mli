@@ -42,6 +42,11 @@ val timestamps : t -> Tp_bitvec.Bitvec.t array
 val matrix : t -> Tp_bitvec.F2_matrix.t
 (** The [b × m] matrix [A = [TS(1) | … | TS(m)]] of §4.2. *)
 
+val equal : t -> t -> bool
+(** Same design: equal [m], [b] and timestamps, cycle by cycle (the
+    scheme and depth labels are not compared). Physically equal
+    encodings answer at once, and nothing is copied either way. *)
+
 val one_hot : m:int -> t
 (** [b = m]; reconstruction is always unique. *)
 

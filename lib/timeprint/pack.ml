@@ -99,12 +99,7 @@ let ranking t = t.ranking
 let table t = t.table
 let warm t = t.warm
 
-let matches t enc =
-  Encoding.m t.enc = Encoding.m enc
-  && Encoding.b t.enc = Encoding.b enc
-  && Array.for_all2 Bitvec.equal
-       (Encoding.timestamps t.enc)
-       (Encoding.timestamps enc)
+let matches t enc = Encoding.equal t.enc enc
 
 let describe t =
   Printf.sprintf "scheme=%s m=%d b=%d depth=%d rank=%d masks=%d"

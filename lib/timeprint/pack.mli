@@ -48,9 +48,10 @@ val pp_load_error : Format.formatter -> load_error -> unit
 
 val matches : t -> Encoding.t -> bool
 (** Whether the pack was compiled for exactly this encoding: same
-    [m], same [b], same timestamps. Callers must check before using
-    any component against a live encoding; a mismatch is how a stale
-    pack (design changed, pack did not) is detected. *)
+    [m], same [b], same timestamps ({!Encoding.equal}). Callers must
+    check before using any component against a live encoding; a
+    mismatch is how a stale pack (design changed, pack did not) is
+    detected. *)
 
 val encoding : t -> Encoding.t
 (** The pack's own copy of the design's timestamps (a [Custom]

@@ -124,14 +124,7 @@ let session_warm s = s.ses_warm
 let session_table s = Lazy.force s.ses_table
 
 let check_encoding ~who s enc =
-  let ok =
-    Encoding.m s.ses_encoding = Encoding.m enc
-    && Encoding.b s.ses_encoding = Encoding.b enc
-    && Array.for_all2 Tp_bitvec.Bitvec.equal
-         (Encoding.timestamps s.ses_encoding)
-         (Encoding.timestamps enc)
-  in
-  if not ok then
+  if not (Encoding.equal s.ses_encoding enc) then
     invalid_arg (who ^ ": query encoding does not match the session's design")
 
 let run_in ?(engine = `Auto) ?jobs (s : session) (q : Query.t) =
@@ -354,7 +347,7 @@ let cost_estimate (s : session) (q : Query.t) =
   | [] -> Engine.sat.Engine.cost_bits ctx q
 
 let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
-    ?jobs (s : session) entries ~emit =
+    ?jobs ?(flush = ignore) (s : session) entries ~emit =
   if repair < 0 then invalid_arg "Plan.run_stream_emit: negative repair budget";
   let encoding = s.ses_encoding in
   let entries = Array.of_list entries in
@@ -404,15 +397,18 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
      every slot below it has. Chunks completing out of order buffer in
      [out] until the prefix is ready, so the emitted stream is
      byte-identical for every [jobs] value — parallelism moves the
-     moments of emission, never the sequence. *)
+     moments of emission, never the sequence. Each drain that emits
+     anything is one burst, closed by one [flush]. *)
   let next = ref 0 in
-  let flush () =
+  let drain () =
+    let first = !next in
     while !next < n && out.(!next) <> None do
       (match out.(!next) with Some r -> emit !next r | None -> assert false);
       incr next
-    done
+    done;
+    if !next > first then flush ()
   in
-  flush ();
+  drain ();
   (match sat_idx with
   | [] -> ()
   | _ ->
@@ -445,8 +441,8 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
                   let at = (chunk * Par_reconstruct.default_chunk) + off in
                   out.(sat_idx_a.(at)) <- Some (v, h, `Sat st))
                 results;
-              flush ())));
-  flush ();
+              drain ())));
+  drain ();
   assert (!next = n)
 
 let run_stream_in ?assume ?conflict_budget ?gauss ?repair ?jobs s entries =

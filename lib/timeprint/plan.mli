@@ -129,7 +129,7 @@ val run_in :
     and reports, but the rank (and on a pack hit the warm machinery)
     comes from the session instead of being recomputed. Raises
     [Invalid_argument] when the query's encoding is not the session's
-    design (same m/b/timestamps test as {!Pack.matches}). *)
+    design ({!Encoding.equal}, the test {!Pack.matches} makes). *)
 
 val cost_estimate : session -> Query.t -> float
 (** The cost-bits estimate of the engine the auto policy would choose
@@ -234,6 +234,7 @@ val run_stream_emit :
   ?gauss:bool ->
   ?repair:int ->
   ?jobs:int ->
+  ?flush:(unit -> unit) ->
   session ->
   Log_entry.t list ->
   emit:
@@ -252,7 +253,16 @@ val run_stream_emit :
     byte-identical for every pool size; parallelism moves the moments
     of emission, never the order or the contents. [emit] may be
     called from pool worker domains (serialized, never concurrently)
-    and must not call back into the pool. *)
+    and must not call back into the pool.
+
+    Emission comes in bursts: the verdicts the fast paths decide form
+    the first, each SAT chunk that lands releases the next, and the
+    end of the stream releases the last. [flush ()] (default: nothing)
+    is called once after every burst that emitted at least one entry,
+    never between two entries of one burst, so a socket writer can
+    buffer lines and push each burst in one write. It runs on the
+    same domain as the burst's [emit] calls, under the same
+    serialization. *)
 
 val meta_line : report -> string
 (** The report's dispatch facts as one stable machine-parseable line:

@@ -102,6 +102,14 @@ let test_pack_roundtrip () =
   let p = Pack.compile enc in
   Alcotest.(check bool) "compiled pack matches" true (Pack.matches p enc);
   Alcotest.(check bool) "mismatch detected" false (Pack.matches p other_enc);
+  (* TS(1) ⊕ TS(2) in place of TS(1): a valid design ([enc] is LI-4)
+     that differs in that one timestamp *)
+  let ts = Encoding.timestamps enc in
+  ts.(0) <- Bitvec.logxor ts.(0) ts.(1);
+  Alcotest.(check bool) "one-timestamp mismatch detected" false
+    (Pack.matches p (Encoding.custom ts));
+  Alcotest.(check bool) "equal copy matches" true
+    (Pack.matches p (Encoding.custom (Encoding.timestamps enc)));
   Alcotest.(check int) "rank is the matrix rank"
     (F2_matrix.rank (Encoding.matrix enc))
     (Pack.rank p);

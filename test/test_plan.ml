@@ -333,6 +333,102 @@ let test_session_table_memoized () =
       Alcotest.(check bool) "same verdict" true (v1 = v2 && h1 = h2))
     via_session via_facade
 
+(* ------------------------------------------------------------------ *)
+(* A session accepts its own design, by value, and no other            *)
+
+let test_session_design_check () =
+  let e = Encoding.random_constrained ~m:16 ~b:10 ~seed:5 () in
+  let s = Plan.session e in
+  let en = Logger.abstract e (Signal.of_changes ~m:16 [ 2; 9 ]) in
+  let q enc = Query.make ~answer:Query.First enc en in
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  (* same m and b, TS(1) replaced by TS(1) ⊕ TS(2): still non-zero and
+     distinct from every timestamp, since [e] is LI-4 *)
+  let off =
+    let ts = Encoding.timestamps e in
+    ts.(0) <- Bitvec.logxor ts.(0) ts.(1);
+    Encoding.custom ts
+  in
+  rejects "cost_estimate: one timestamp differs" (fun () ->
+      Plan.cost_estimate s (q off));
+  rejects "run_in: one timestamp differs" (fun () -> Plan.run_in s (q off));
+  (* a structurally equal copy is a different object, yet the same
+     design: priced and answered exactly like the session's own *)
+  let copy = Encoding.custom (Encoding.timestamps e) in
+  Alcotest.(check bool) "copy is a distinct object" false (copy == e);
+  Alcotest.(check (float 0.)) "cost_estimate accepts an equal copy"
+    (Plan.cost_estimate s (q e))
+    (Plan.cost_estimate s (q copy));
+  Alcotest.(check bool) "run_in accepts an equal copy" true
+    (fst (Plan.run_in s (q copy)) = fst (Plan.run_in s (q e)))
+
+(* ------------------------------------------------------------------ *)
+(* Stream emission comes in flushed bursts                             *)
+
+type event = Emit of { line : string; sat : bool } | Flush
+
+let test_stream_bursts () =
+  let m = 24 in
+  let e = Encoding.random_constrained ~m ~b:12 ~seed:7 () in
+  let st = Random.State.make [| 0xB0057 |] in
+  let entry k = Logger.abstract e (Signal.random st ~m ~k) in
+  (* a fast-path prefix, then SAT-routed k = 7 entries (past MITM's
+     reach) mixed with more fast ones — enough to fill two SAT chunks *)
+  let prefix = List.init 4 (fun i -> entry (1 + (i mod 3))) in
+  let rest =
+    List.concat (List.init 10 (fun i -> [ entry 7; entry (1 + (i mod 4)) ]))
+  in
+  let s = Plan.session e in
+  let line = Tp_service.Render.entry_line in
+  List.iter
+    (fun jobs ->
+      let expected =
+        List.mapi line (Plan.run_stream_in ?jobs s (prefix @ rest))
+      in
+      let name what =
+        Printf.sprintf "jobs=%s: %s"
+          (match jobs with None -> "none" | Some j -> string_of_int j)
+          what
+      in
+      let events = ref [] in
+      Plan.run_stream_emit ?jobs
+        ~flush:(fun () -> events := Flush :: !events)
+        s (prefix @ rest)
+        ~emit:(fun i ((_, _, tag) as r) ->
+          let sat = match tag with `Sat _ -> true | _ -> false in
+          events := Emit { line = line i r; sat } :: !events);
+      let events = List.rev !events in
+      Alcotest.(check (list string)) (name "emitted sequence unchanged")
+        expected
+        (List.filter_map
+           (function Emit { line; _ } -> Some line | Flush -> None)
+           events);
+      let rec before_first_sat acc = function
+        | Emit { sat = true; _ } :: _ -> List.rev acc
+        | ev :: tl -> before_first_sat (ev :: acc) tl
+        | [] -> Alcotest.fail (name "no SAT-routed verdict emitted")
+      in
+      let fast_prefix =
+        List.filteri (fun i _ -> i < List.length prefix) expected
+        |> List.map (fun line -> Emit { line; sat = false })
+      in
+      Alcotest.(check bool)
+        (name "fast-path prefix flushed before any SAT verdict")
+        true
+        (before_first_sat [] events = fast_prefix @ [ Flush ]);
+      Alcotest.(check bool) (name "a flush follows the last entry") true
+        (List.nth events (List.length events - 1) = Flush);
+      let rec no_empty_burst = function
+        | Flush :: Flush :: _ -> false
+        | _ :: tl -> no_empty_burst tl
+        | [] -> true
+      in
+      Alcotest.(check bool) (name "no empty burst") true (no_empty_burst events))
+    [ None; Some 1; Some 2 ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "plan"
@@ -351,6 +447,8 @@ let () =
             test_huge_nullity_falls_through;
           Alcotest.test_case "session table memoized" `Quick
             test_session_table_memoized;
+          Alcotest.test_case "session design check" `Quick
+            test_session_design_check;
         ] );
       ( "batch-presolve",
         [
@@ -363,6 +461,7 @@ let () =
         [
           Alcotest.test_case "policy choices" `Quick test_planner_choices;
           Alcotest.test_case "stream dispatch" `Quick test_run_stream;
+          Alcotest.test_case "stream bursts flushed" `Quick test_stream_bursts;
           Alcotest.test_case "explainable report" `Quick test_explain_report;
           Alcotest.test_case "meta line format pinned" `Quick test_meta_line;
         ] );

@@ -425,6 +425,64 @@ let test_daemon_socket () =
       in
       wait_unlink 500)
 
+(* One client connection, closed even when an assertion fails: the
+   daemon serves connections one at a time, so a connection left open
+   would keep the final shutdown request from ever being read. *)
+let with_conn socket f =
+  let conn =
+    match Daemon.connect socket with Ok c -> c | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect ~finally:(fun () -> Daemon.close conn) (fun () -> f conn)
+
+let load_design conn =
+  ignore
+    (request_lines conn
+       (Printf.sprintf "load name=d scheme=random m=%d b=10 seed=%d" m 0x7155)
+       ~body:[])
+
+let check_stats conn =
+  let header, stats = request_lines conn "stats" ~body:[] in
+  Alcotest.(check bool) "stats answered" true (contains header "ok ");
+  Alcotest.(check int) "stats lines" 4 (List.length stats)
+
+(* A client that sends a long stream and hangs up without reading the
+   reply: the daemon's writes fail (EPIPE — SIGPIPE would kill the
+   process), which must end that connection only. *)
+let test_daemon_client_hangup () =
+  with_daemon (fun socket ->
+      with_conn socket load_design;
+      let enc = enc_seed 0x7155 in
+      let n = 3000 in
+      with_conn socket (fun (_, oc) ->
+          output_string oc (Printf.sprintf "stream design=d n=%d\n" n);
+          for i = 0 to n - 1 do
+            output_string oc (Wire.render_entry (entry_k enc (1 + (i mod 3))));
+            output_char oc '\n'
+          done);
+      with_conn socket check_stats)
+
+(* A stream or flow header that fails to parse still declares its
+   body; the daemon must consume it, so the next request gets its own
+   reply instead of an err line per body line. *)
+let test_daemon_bad_header_framing () =
+  with_daemon (fun socket ->
+      with_conn socket (fun conn ->
+          load_design conn;
+          List.iter
+            (fun header ->
+              (match
+                 Daemon.request conn ~body:[ "0 1"; "0 1" ] header
+                   ~on_line:ignore
+               with
+              | Ok (`Err line) ->
+                  Alcotest.(check bool)
+                    (header ^ " is a bad request")
+                    true
+                    (contains line "code=bad-request")
+              | _ -> Alcotest.failf "%S was not rejected" header);
+              check_stats conn)
+            [ "stream design=d n=2 jobs=x"; "flow n=2 mode=bogus" ]))
+
 let () =
   Alcotest.run "service"
     [
@@ -456,5 +514,11 @@ let () =
           Alcotest.test_case "per-tenant quota" `Quick test_service_quota;
         ] );
       ( "daemon",
-        [ Alcotest.test_case "wire protocol e2e" `Quick test_daemon_socket ] );
+        [
+          Alcotest.test_case "wire protocol e2e" `Quick test_daemon_socket;
+          Alcotest.test_case "client hang-up ends only its connection" `Quick
+            test_daemon_client_hangup;
+          Alcotest.test_case "malformed header keeps framing" `Quick
+            test_daemon_bad_header_framing;
+        ] );
     ]
