@@ -219,18 +219,25 @@ let write_engines_json () =
            ])
 
 (* one reconstruction timing: first solution and 10th solution *)
-let solve_times pb =
-  let t1, r1 = time (fun () -> Reconstruct.first ~conflict_budget:!conflict_budget pb) in
-  let t1 = match r1 with `Unknown -> -1. | _ -> t1 in
-  let t10, r10 =
-    time (fun () -> Reconstruct.enumerate ~max_solutions:10 ~conflict_budget:!conflict_budget pb)
-  in
-  let t10 =
-    if r10.Reconstruct.complete || List.length r10.Reconstruct.signals = 10 then
-      t10
-    else -1.
-  in
-  (t1, t10)
+let times first enumerate =
+  let t1, r1 = time first in
+  let t10, (r10 : Sat_reconstruct.enumeration) = time enumerate in
+  ( (match r1 with `Unknown -> -1. | _ -> t1),
+    if r10.complete || List.length r10.signals = 10 then t10 else -1. )
+
+(* [times] through the planner, which picks the engine ({!table1}) *)
+let plan_times ~assume enc entry =
+  let conflict_budget = !conflict_budget in
+  times
+    (fun () -> Plan.first ~assume ~conflict_budget enc entry)
+    (fun () -> Plan.enumerate ~assume ~conflict_budget ~max_solutions:10 enc entry)
+
+(* [times] on the SAT oracle, with the problem's knobs ({!table1_gauss}) *)
+let sat_times pb =
+  let conflict_budget = !conflict_budget in
+  times
+    (fun () -> Sat_reconstruct.first ~conflict_budget pb)
+    (fun () -> Sat_reconstruct.enumerate ~max_solutions:10 ~conflict_budget pb)
 
 (* A signal with k changes that satisfies P2 and Dk (count<=3, D=32):
    an adjacent pair early, a third early change, the rest random. *)
@@ -268,19 +275,15 @@ let fig4 () =
   Format.printf "logged entry: %a@." Log_entry.pp entry;
   Format.printf "preimages ignoring k : %d   (paper: 256)@."
     (Linear_reconstruct.preimage_size_unbounded enc entry);
-  let with_k = Reconstruct.enumerate (Reconstruct.problem enc entry) in
+  let with_k = Plan.enumerate enc entry in
   Format.printf "preimages with k = 4 : %d   (paper: 8)@."
-    (List.length with_k.Reconstruct.signals);
-  let pruned =
-    Reconstruct.enumerate
-      (Reconstruct.problem ~assume:[ Property.pulse_pairs ] enc entry)
-  in
+    (List.length with_k.Sat_reconstruct.signals);
+  let pruned = Plan.enumerate ~assume:[ Property.pulse_pairs ] enc entry in
   Format.printf "with pulse property  : %d   (paper: 1)@."
-    (List.length pruned.Reconstruct.signals);
+    (List.length pruned.Sat_reconstruct.signals);
   Format.printf "deadline i=8 check   : %a   (paper: met by all)@."
-    Reconstruct.pp_check_result
-    (Reconstruct.check (Reconstruct.problem enc entry)
-       (Property.deadline ~count:1 ~before:8))
+    Sat_reconstruct.pp_check_result
+    (Plan.check enc entry (Property.deadline ~count:1 ~before:8))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -318,7 +321,7 @@ let table1 ~full () =
           let entry = Logger.abstract enc s in
           let p2 = Property.p2 in
           let dk = Property.deadline ~count:(min 3 k) ~before:32 in
-          let col assume = solve_times (Reconstruct.problem ~assume enc entry) in
+          let col assume = plan_times ~assume enc entry in
           let c1, c10 = col [] in
           let p1, p10 = col [ p2 ] in
           let d1, d10 = col [ dk ] in
@@ -330,8 +333,8 @@ let table1 ~full () =
         ks)
     (table1_rows ~full)
 
-(* Gauss engine + F₂ presolve on vs off, over the Table 1 grid. The
-   on-configuration is what {!table1} now runs by default; the
+(* Gauss engine + F₂ presolve on vs off on the SAT oracle, over the
+   Table 1 grid ({!table1} goes through the planner instead). The
    off-configuration is the seed's path (chunked XOR rows, lazy watch
    scheme, no presolve). Recorded to BENCH_pr2.json. *)
 let table1_gauss ~full () =
@@ -347,20 +350,19 @@ let table1_gauss ~full () =
         (fun k ->
           let s = constrained_signal ~m ~k in
           let entry = Logger.abstract enc s in
-          let engaged = Reconstruct.auto_gauss (Reconstruct.problem enc entry) in
+          let engaged = Sat_reconstruct.auto_gauss (Sat_reconstruct.problem enc entry) in
           let run gauss_on =
             let pb =
               if gauss_on then
-                Reconstruct.problem ~presolve:true ~gauss:true enc entry
-              else Reconstruct.problem ~presolve:false ~gauss:false enc entry
+                Sat_reconstruct.problem ~presolve:true ~gauss:true enc entry
+              else Sat_reconstruct.problem ~presolve:false ~gauss:false enc entry
             in
-            let t1, t10 = solve_times pb in
+            let t1, t10 = sat_times pb in
             (* solver-work counters for the record: one more
                first-query on a session with the same settings *)
-            let sess = Reconstruct.Session.create pb in
-            ignore
-              (Reconstruct.Session.first ~conflict_budget:!conflict_budget sess);
-            let st = Reconstruct.Session.last_stats sess in
+            let sess = Sat_reconstruct.Session.create pb in
+            ignore (Sat_reconstruct.Session.first ~conflict_budget:!conflict_budget sess);
+            let st = Sat_reconstruct.Session.last_stats sess in
             add_bench_row
               {
                 section = "table1";
@@ -413,8 +415,7 @@ let table2 ~full () =
         let first assume =
           let t, r =
             time (fun () ->
-                Reconstruct.first ~conflict_budget:!conflict_budget
-                  (Reconstruct.problem ~assume enc entry))
+                Plan.first ~assume ~conflict_budget:!conflict_budget enc entry)
           in
           match r with `Unknown -> -1. | _ -> t
         in
@@ -496,10 +497,9 @@ let can ~full () =
   let deadline = (release mod m) + flen - 10 in
   let t_dl, verdict =
     time (fun () ->
-        Reconstruct.first ~conflict_budget:!conflict_budget
-          (Reconstruct.problem
-             ~assume:[ Forensics.completed_before Message.engine_data ~deadline ]
-             enc entry))
+        Plan.first ~conflict_budget:!conflict_budget
+          ~assume:[ Forensics.completed_before Message.engine_data ~deadline ]
+          enc entry)
   in
   Format.printf "\"completed before deadline\" query: %s in %a (paper: UNSAT)@."
     (match verdict with
@@ -544,16 +544,15 @@ let incremental ~full () =
   let t_cold, cold =
     time (fun () ->
         List.map
-          (fun e ->
-            Reconstruct.first ~conflict_budget:budget (Reconstruct.problem enc e))
+          (fun e -> Plan.first ~conflict_budget:budget enc e)
           entries)
   in
   let t_inc, inc =
-    time (fun () -> Reconstruct.batch ~conflict_budget:budget ~gauss:true enc entries)
+    time (fun () -> Sat_reconstruct.batch ~conflict_budget:budget ~gauss:true enc entries)
   in
   let t_inc_off, inc_off =
     time (fun () ->
-        Reconstruct.batch ~conflict_budget:budget ~gauss:false enc entries)
+        Sat_reconstruct.batch ~conflict_budget:budget ~gauss:false enc entries)
   in
   List.iteri
     (fun i (v, _, st) ->
@@ -633,18 +632,16 @@ let incremental ~full () =
   let t_ccheck, cold_verdicts =
     time (fun () ->
         List.map
-          (fun p ->
-            Reconstruct.check ~conflict_budget:budget
-              (Reconstruct.problem enc entry) p)
+          (fun p -> Plan.check ~conflict_budget:budget enc entry p)
           props)
   in
   let t_scheck, session_verdicts =
     time (fun () ->
-        let session = Reconstruct.Session.create (Reconstruct.problem enc entry) in
+        let session = Sat_reconstruct.Session.create (Sat_reconstruct.problem enc entry) in
         List.map
           (fun p ->
-            let r = Reconstruct.Session.check ~conflict_budget:budget session p in
-            let st = Reconstruct.Session.last_stats session in
+            let r = Sat_reconstruct.Session.check ~conflict_budget:budget session p in
+            let st = Sat_reconstruct.Session.last_stats session in
             Format.printf "  check %-18s conflicts=%-5d decisions=%-6d learnt=%d@."
               (Format.asprintf "%a:" Property.pp p)
               st.Tp_sat.Solver.conflicts st.Tp_sat.Solver.decisions
@@ -748,9 +745,9 @@ let faults ~full ~smoke () =
               | `Presolve | `Mitm -> cf
             in
             match health with
-            | Reconstruct.Clean -> (c + 1, r, q, cf)
-            | Reconstruct.Repaired _ -> (c, r + 1, q, cf)
-            | Reconstruct.Quarantined -> (c, r, q + 1, cf))
+            | Sat_reconstruct.Clean -> (c + 1, r, q, cf)
+            | Sat_reconstruct.Repaired _ -> (c, r + 1, q, cf)
+            | Sat_reconstruct.Quarantined -> (c, r, q + 1, cf))
           (0, 0, 0, 0) results
       in
       Format.printf
@@ -802,13 +799,12 @@ let soc ~full () =
       let sim_signal = List.nth sim.Soc_system.signals tc in
       let t, result =
         time (fun () ->
-            Reconstruct.enumerate ~conflict_budget:!conflict_budget
-              (Reconstruct.problem
-                 ~assume:[ Property.delayed_once sim_signal ]
-                 enc hw_entry))
+            Plan.enumerate ~conflict_budget:!conflict_budget
+              ~assume:[ Property.delayed_once sim_signal ]
+              enc hw_entry)
       in
       Format.printf "delayed-once localization: %d solution(s) in %a@."
-        (List.length result.Reconstruct.signals)
+        (List.length result.Sat_reconstruct.signals)
         pp_time t;
       List.iter
         (fun (tc', c) ->
@@ -839,7 +835,7 @@ let ablation () =
     time (fun () ->
         Tp_sat.Solver.solve ~conflict_budget:!conflict_budget (Tp_sat.Solver.of_cnf cnf))
   in
-  let base_cnf, _ = Reconstruct.to_cnf (Reconstruct.problem enc entry) in
+  let base_cnf, _ = Sat_reconstruct.to_cnf (Sat_reconstruct.problem enc entry) in
   let t_native, r1 = solve_cnf base_cnf in
   let t_expanded, r2 = solve_cnf (Tp_sat.Cnf.expand_xors base_cnf) in
   assert (r1 = r2);
@@ -969,11 +965,10 @@ let micro () =
                ignore (Encoding.random_constrained ~m:256 ~b:20 ~seed:1 ())));
         Test.make ~name:"reduction to CNF m=1024 k=32"
           (Staged.stage (fun () ->
-               ignore (Reconstruct.to_cnf (Reconstruct.problem enc entry))));
+               ignore (Sat_reconstruct.to_cnf (Sat_reconstruct.problem enc entry))));
         Test.make ~name:"fig4 full reconstruction (8 solutions)"
           (Staged.stage (fun () ->
-               ignore
-                 (Reconstruct.enumerate (Reconstruct.problem fig4_enc fig4_entry))));
+               ignore (Plan.enumerate fig4_enc fig4_entry)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
@@ -1216,7 +1211,7 @@ let parallel_bench ~full ~smoke ~max_jobs () =
              | `Signal s -> Format.asprintf "S%a" Signal.pp s
              | `Unsat -> "U"
              | `Unknown -> "?")
-             Reconstruct.pp_health h
+             Sat_reconstruct.pp_health h
              (match tag with `Presolve -> "p" | `Mitm -> "m" | `Sat _ -> "s"))
          results)
   in
@@ -1237,9 +1232,9 @@ let parallel_bench ~full ~smoke ~max_jobs () =
         List.fold_left
           (fun (c, r, q) (_, health, _) ->
             match health with
-            | Reconstruct.Clean -> (c + 1, r, q)
-            | Reconstruct.Repaired _ -> (c, r + 1, q)
-            | Reconstruct.Quarantined -> (c, r, q + 1))
+            | Sat_reconstruct.Clean -> (c + 1, r, q)
+            | Sat_reconstruct.Repaired _ -> (c, r + 1, q)
+            | Sat_reconstruct.Quarantined -> (c, r, q + 1))
           (0, 0, 0) results
       in
       let d = digest results in
@@ -1418,11 +1413,11 @@ let pack_bench ~full ~smoke () =
       (* per-request setup: the whole batch construction on an empty
          stream — encode + load + propagate cold, copy + clone warm *)
       let cold_setup_s =
-        med_time (fun () -> ignore (Reconstruct.batch enc []))
+        med_time (fun () -> ignore (Sat_reconstruct.batch enc []))
       in
       let warm = Pack.warm loaded in
       let warm_setup_s =
-        med_time (fun () -> ignore (Reconstruct.batch ~warm enc []))
+        med_time (fun () -> ignore (Sat_reconstruct.batch ~warm enc []))
       in
       let budget = !conflict_budget in
       let cold_stream_s, cold_results =

@@ -288,10 +288,10 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile"
        ~doc:
-         "Compile a design pack for an encoding — the presolve reduction, \
-          cube-selection ranking and parity-select solver skeleton — into a \
-          versioned, checksummed file that $(b,reconstruct --pack) and \
-          $(b,stream --pack) load instead of recomputing per run.")
+         "Compile a design pack for an encoding — the presolve reduction \
+          and parity-select solver skeleton — into a versioned, checksummed \
+          file that $(b,reconstruct --pack) and $(b,stream --pack) load \
+          instead of recomputing per run.")
     Term.(const run $ enc_term $ out_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -337,10 +337,10 @@ let reconstruct_cmd =
         in
         match outcome with
         | Engine.Repair v ->
-            Format.printf "%a [engine: %s]@." Reconstruct.pp_repair_verdict v
+            Format.printf "%a [engine: %s]@." Sat_reconstruct.pp_repair_verdict v
               chosen;
             (match v with
-            | `Clean s | `Repaired { Reconstruct.r_signal = s; _ } ->
+            | `Clean s | `Repaired { Sat_reconstruct.r_signal = s; _ } ->
                 Format.printf "%a@." Signal.pp s
             | `Unrepairable | `Unknown -> ())
         | Engine.Enumeration { signals; complete } ->
@@ -525,7 +525,7 @@ let check_cmd =
     let outcome, report = Plan.run ~engine ?jobs q in
     maybe_explain explain report;
     match outcome with
-    | Engine.Check r -> Format.printf "%a@." Reconstruct.pp_check_result r
+    | Engine.Check r -> Format.printf "%a@." Sat_reconstruct.pp_check_result r
     | _ -> assert false
   in
   let q_deadline =
@@ -549,8 +549,8 @@ let check_cmd =
 
 let dimacs_cmd =
   let run enc entry p2 pulse deadline window =
-    let pb = Reconstruct.problem ~assume:(assume_of p2 pulse deadline window) enc entry in
-    let cnf, _ = Reconstruct.to_cnf pb in
+    let pb = Sat_reconstruct.problem ~assume:(assume_of p2 pulse deadline window) enc entry in
+    let cnf, _ = Sat_reconstruct.to_cnf pb in
     print_string (Tp_sat.Dimacs.to_string cnf)
   in
   Cmd.v

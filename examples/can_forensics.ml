@@ -82,17 +82,14 @@ let () =
   (* the paper's one-sided query: assume the transmission completed
      before the deadline and ask for any consistent reconstruction —
      UNSAT proves it cannot have happened *)
-  let pb =
-    Reconstruct.problem
-      ~assume:[ Forensics.completed_before Message.engine_data ~deadline ]
-      enc entry
-  in
+  let assume = [ Forensics.completed_before Message.engine_data ~deadline ] in
   (* the certificate needs the XOR rows compiled to CNF, which is
      measurably slower (see the bench ablation); give it a budget and
      fall back to the native-XOR query *)
-  match Reconstruct.first_certified ~conflict_budget:3_000 pb with
+  let pb = Sat_reconstruct.problem ~assume enc entry in
+  match Sat_reconstruct.first_certified ~conflict_budget:3_000 pb with
   | `Unknown -> (
-      match Reconstruct.first pb with
+      match Plan.first ~assume enc entry with
       | `Unsat ->
           Format.printf "@.\"EngineData completed before cycle %d\": UNSAT@."
             deadline;

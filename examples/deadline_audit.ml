@@ -59,10 +59,9 @@ let () =
         | Monitor.Pass -> [ Monitor.to_property monitor_spec; Property.pulse_pairs ]
         | Monitor.Fail -> [ Property.pulse_pairs ]
       in
-      let pb = Reconstruct.problem ~assume enc entry in
       Format.printf "trace-cycle %d %a: early firing? %a@." i Log_entry.pp entry
-        Reconstruct.pp_check_result
-        (Reconstruct.check pb early))
+        Sat_reconstruct.pp_check_result
+        (Plan.check ~assume enc entry early))
     (Logger.completed logger);
 
   Format.printf

@@ -41,8 +41,7 @@ let () =
 
   (* The planned path agrees with the reference oracle — and, with
      k = 4 and no properties, it never even starts a SAT search. *)
-  let pb = Reconstruct.problem enc entry in
-  let { Reconstruct.signals; _ } = Reconstruct.enumerate pb in
+  let { Sat_reconstruct.signals; _ } = Plan.enumerate enc entry in
   assert (List.length signals = List.length with_k);
   let _, report =
     Plan.run (Query.make ~answer:(Query.Enumerate { max_solutions = None }) enc entry)
@@ -51,8 +50,8 @@ let () =
 
   (* Step 3: the verified property "writes last one cycle, so changes
      always come as two consecutive ones" leaves the actual signal. *)
-  let pb' = Reconstruct.problem ~assume:[ Property.pulse_pairs ] enc entry in
-  let { Reconstruct.signals = unique; _ } = Reconstruct.enumerate pb' in
+  let pulse = [ Property.pulse_pairs ] in
+  let { Sat_reconstruct.signals = unique; _ } = Plan.enumerate ~assume:pulse enc entry in
   Format.printf "@.With the 2-consecutive-changes property: %d candidate@."
     (List.length unique);
   List.iter (fun s -> Format.printf "  %a  <- the signal that happened@." Signal.pp s) unique;
@@ -61,5 +60,5 @@ let () =
   (* The deadline question of §3.3: with the deadline at i = 8, every
      k = 4 reconstruction has a change before it — no matter which one
      actually took place, the deadline was met. *)
-  Format.printf "@.Deadline at cycle 8: %a@." Reconstruct.pp_check_result
-    (Reconstruct.check pb (Property.deadline ~count:1 ~before:8))
+  Format.printf "@.Deadline at cycle 8: %a@." Sat_reconstruct.pp_check_result
+    (Plan.check enc entry (Property.deadline ~count:1 ~before:8))

@@ -23,8 +23,7 @@ let () =
   Format.printf "@.Logged entry: %a — that is all the chip stores.@." Log_entry.pp entry;
 
   (* 3. Postmortem: reconstruct every signal consistent with the log. *)
-  let pb = Reconstruct.problem enc entry in
-  let { Reconstruct.signals; complete } = Reconstruct.enumerate ~max_solutions:10 pb in
+  let { Sat_reconstruct.signals; complete } = Plan.enumerate ~max_solutions:10 enc entry in
   Format.printf "@.%d reconstruction(s)%s:@."
     (List.length signals)
     (if complete then "" else " (first 10)");
@@ -32,17 +31,17 @@ let () =
 
   (* 4. A verified property (writes always last one cycle, i.e. changes
         come in adjacent pairs) prunes the ambiguity. *)
-  let pb' = Reconstruct.problem ~assume:[ Property.pulse_pairs ] enc entry in
-  let { Reconstruct.signals = pruned; _ } = Reconstruct.enumerate pb' in
+  let pulse = [ Property.pulse_pairs ] in
+  let { Sat_reconstruct.signals = pruned; _ } = Plan.enumerate ~assume:pulse enc entry in
   Format.printf "@.With the pulse-pair property: %d reconstruction(s)@."
     (List.length pruned);
   List.iter (fun s -> Format.printf "  %a@." Signal.pp s) pruned;
 
   (* 5. Often a yes/no answer suffices: did anything fire before the
         deadline at cycle 16? *)
-  let verdict = Reconstruct.check pb (Property.deadline ~count:1 ~before:16) in
+  let verdict = Plan.check enc entry (Property.deadline ~count:1 ~before:16) in
   Format.printf "@.\"Some change before cycle 16\" — %a@."
-    Reconstruct.pp_check_result verdict;
+    Sat_reconstruct.pp_check_result verdict;
 
   (* 6. All of the above went through the query planner: with k = 4 it
         answered by meet-in-the-middle hashing, no SAT solver at all.

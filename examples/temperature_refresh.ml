@@ -55,13 +55,8 @@ let () =
   | `Tp tc ->
       let hw_entry = List.nth hw.Soc_system.entries tc in
       let sim_signal = List.nth sim.Soc_system.signals tc in
-      let pb =
-        Reconstruct.problem
-          ~assume:[ Property.delayed_once sim_signal ]
-          enc hw_entry
-      in
-      (match Reconstruct.enumerate pb with
-      | { Reconstruct.signals = [ found ]; _ } ->
+      (match Plan.enumerate ~assume:[ Property.delayed_once sim_signal ] enc hw_entry with
+      | { Sat_reconstruct.signals = [ found ]; _ } ->
           let delayed_at =
             List.find
               (fun i -> not (Signal.change_at found i))
@@ -72,7 +67,7 @@ let () =
           Format.printf
             "   scheduled for cycle %d slipped to cycle %d (refresh collision).@."
             delayed_at (delayed_at + 1)
-      | { Reconstruct.signals; _ } ->
+      | { Sat_reconstruct.signals; _ } ->
           Format.printf "   %d candidate delay positions@." (List.length signals));
       (* cross-check against the simulator's ground truth *)
       let truth =

@@ -48,9 +48,8 @@ let () =
     (fun i s ->
       let entry = Logger.abstract enc s in
       Format.printf "@.trace-cycle %d: logged %a@." i Log_entry.pp entry;
-      let pb = Reconstruct.problem ~assume:[ Property.pulse_pairs ] enc entry in
-      match Reconstruct.enumerate pb with
-      | { Reconstruct.signals = [ unique ]; _ } ->
+      match Plan.enumerate ~assume:[ Property.pulse_pairs ] enc entry with
+      | { Sat_reconstruct.signals = [ unique ]; _ } ->
           Format.printf "  unique reconstruction: %a@." Signal.pp unique;
           let back =
             Tp_vcd.Vcd.of_signal ~name:"irq_reconstructed" ~clock_period
@@ -58,6 +57,6 @@ let () =
           in
           Format.printf "  re-dumped as VCD (%d bytes) for GTKWave@."
             (String.length back)
-      | { Reconstruct.signals; _ } ->
+      | { Sat_reconstruct.signals; _ } ->
           Format.printf "  %d candidate reconstructions@." (List.length signals))
     signals

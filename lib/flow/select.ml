@@ -29,13 +29,6 @@ type report = {
   r_properties : (string * string list * bool) list;
 }
 
-let log2_choose m k =
-  let acc = ref 0.0 in
-  for i = 0 to k - 1 do
-    acc := !acc +. (log (float_of_int (m - i) /. float_of_int (i + 1)) /. log 2.0)
-  done;
-  !acc
-
 type eval = { e_rank : int; e_cost : float; e_decidable : bool }
 
 let evaluate ~cost_cap cand b =
@@ -65,7 +58,7 @@ let evaluate ~cost_cap cand b =
           e_rank = rank;
           e_cost = cost;
           e_decidable =
-            float_of_int rank >= log2_choose cand.c_m cand.c_kmax
+            float_of_int rank >= Signal.log2_choose cand.c_m cand.c_kmax
             && cost <= cost_cap;
         }
 

@@ -12,7 +12,7 @@
     is emitted as [¬g ∨ …]: once the enumeration is over, retiring the
     guard ([Solver.add_clause s [¬g]]) releases all its blocking
     clauses, so one long-lived solver can run many independent
-    enumerations (see {!Reconstruct.Session}). *)
+    enumerations (see [Timeprint.Sat_reconstruct.Session]). *)
 
 type outcome = {
   models : bool array list;  (** projected models, in discovery order *)

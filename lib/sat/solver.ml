@@ -2154,3 +2154,44 @@ let stats s =
     vivified = s.n_vivified;
     xors_recovered = s.n_xors_recovered;
   }
+
+let zero_stats =
+  {
+    conflicts = 0;
+    decisions = 0;
+    propagations = 0;
+    learnt = 0;
+    restarts = 0;
+    gauss_rows = 0;
+    gauss_elims = 0;
+    gauss_props = 0;
+    gauss_conflicts = 0;
+    subsumed = 0;
+    strengthened = 0;
+    eliminated = 0;
+    vivified = 0;
+    xors_recovered = 0;
+  }
+
+(* Counters combine with [op]; the gauges [learnt], [gauss_rows] and
+   [gauss_elims] describe the solver's state, so they come from [b]. *)
+let combine_stats op a b =
+  {
+    conflicts = op b.conflicts a.conflicts;
+    decisions = op b.decisions a.decisions;
+    propagations = op b.propagations a.propagations;
+    learnt = b.learnt;
+    restarts = op b.restarts a.restarts;
+    gauss_rows = b.gauss_rows;
+    gauss_elims = b.gauss_elims;
+    gauss_props = op b.gauss_props a.gauss_props;
+    gauss_conflicts = op b.gauss_conflicts a.gauss_conflicts;
+    subsumed = op b.subsumed a.subsumed;
+    strengthened = op b.strengthened a.strengthened;
+    eliminated = op b.eliminated a.eliminated;
+    vivified = op b.vivified a.vivified;
+    xors_recovered = op b.xors_recovered a.xors_recovered;
+  }
+
+let stats_diff ~before ~after = combine_stats ( - ) before after
+let stats_add a b = combine_stats ( + ) a b

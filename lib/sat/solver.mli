@@ -72,7 +72,7 @@ val add_cnf_from : t -> Cnf.t -> nclauses:int -> nxors:int -> unit
 (** [add_cnf_from s p ~nclauses ~nxors] loads every clause and XOR
     constraint of [p] {e beyond} the first [nclauses] / [nxors] — the
     flush primitive for callers that grow one {!Cnf.t} incrementally
-    alongside a live solver (see {!Reconstruct.Session}). *)
+    alongside a live solver (see [Timeprint.Sat_reconstruct.Session]). *)
 
 val new_var : t -> int
 val new_vars : t -> int -> int
@@ -242,3 +242,16 @@ val ok : t -> bool
 (** [false] once the instance is known unsatisfiable at the root. *)
 
 val stats : t -> stats
+
+val zero_stats : stats
+(** Every counter and gauge [0]. *)
+
+val stats_diff : before:stats -> after:stats -> stats
+(** The work done between two readings of one solver: counters
+    subtract, while the gauges [learnt], [gauss_rows] and
+    [gauss_elims] are [after]'s. *)
+
+val stats_add : stats -> stats -> stats
+(** The work of two solves together: counters sum, while the gauges
+    [learnt], [gauss_rows] and [gauss_elims] are the second
+    argument's. *)

@@ -31,15 +31,6 @@ type t = {
   run : ctx -> Query.t -> outcome * stage list;
 }
 
-let log2_choose m k =
-  if k < 0 || k > m then neg_infinity
-  else (
-    let acc = ref 0. in
-    for i = 0 to k - 1 do
-      acc := !acc +. (log (float_of_int (m - i) /. float_of_int (i + 1)) /. log 2.)
-    done;
-    !acc)
-
 let context ?rank ?table (q : Query.t) =
   let m = Encoding.m q.encoding and b = Encoding.b q.encoding in
   let rank =
@@ -50,17 +41,54 @@ let context ?rank ?table (q : Query.t) =
   {
     rank;
     nullity = m - rank;
-    preimage_bits = log2_choose m (Log_entry.k q.entry) -. float_of_int b;
+    preimage_bits = Signal.log2_choose m (Log_entry.k q.entry) -. float_of_int b;
     table;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Shared outcome construction for the two exact (list-producing)
-   oracles: both enumerate the assume-filtered preimage, so First /
-   Enumerate / Count / Check all reduce to one list computation. To
-   tell `Exact from `Lower_bound under a cap, one extra solution beyond
-   the cap is requested. *)
+(* Outcome conventions every engine shares *)
 
+(* The outcome a rank-refuted entry gets for each answer kind — the
+   empty preimage, phrased in that answer's vocabulary. *)
+let refuted_outcome (q : Query.t) =
+  match q.answer with
+  | Query.First -> Verdict `Unsat
+  | Query.Enumerate _ -> Enumeration { signals = []; complete = true }
+  | Query.Count _ -> Count (0, `Exact)
+  | Query.Check _ -> Check `Vacuous
+  | Query.Repair _ ->
+      (* only with a zero flip budget: the rank refutation is exactly
+         the statement that no zero-error explanation exists *)
+      Repair `Unrepairable
+  | Query.Certified -> assert false (* presolve is skipped for Certified *)
+
+(* Capped answers probe one solution past the cap, so a preimage that
+   exactly fills the cap still reads complete / [`Exact]; only
+   solutions beyond the cap (or an unfinished search) degrade it.
+   [enumerate cap] returns the signals found, whether the search was
+   exhaustive, and whatever else the caller wants carried through. *)
+let capped_outcome (answer : Query.answer) enumerate =
+  let max_solutions, count =
+    match answer with
+    | Query.Enumerate { max_solutions } -> (max_solutions, false)
+    | Query.Count { max_solutions } -> (max_solutions, true)
+    | _ -> invalid_arg "Engine.capped_outcome: not an Enumerate/Count answer"
+  in
+  let signals, complete, extra = enumerate (Option.map succ max_solutions) in
+  let signals, complete =
+    match max_solutions with
+    | Some n when List.length signals > n ->
+        (List.filteri (fun i _ -> i < n) signals, false)
+    | _ -> (signals, complete)
+  in
+  ( (if count then
+       Count (List.length signals, if complete then `Exact else `Lower_bound)
+     else Enumeration { signals; complete }),
+    extra )
+
+(* The two exact (list-producing) oracles enumerate the assume-filtered
+   preimage, so First / Enumerate / Count / Check all reduce to one
+   list computation. *)
 let exact_outcome (q : Query.t)
     ~(preimage : ?max_solutions:int -> unit -> Signal.t list)
     ~(first : unit -> Signal.t option) =
@@ -69,21 +97,10 @@ let exact_outcome (q : Query.t)
       match first () with
       | Some s -> Verdict (`Signal s)
       | None -> Verdict `Unsat)
-  | Query.Enumerate { max_solutions = None } ->
-      Enumeration { signals = preimage (); complete = true }
-  | Query.Enumerate { max_solutions = Some n } ->
-      let probe = preimage ~max_solutions:(n + 1) () in
-      if List.length probe <= n then
-        Enumeration { signals = probe; complete = true }
-      else
-        Enumeration
-          { signals = List.filteri (fun i _ -> i < n) probe; complete = false }
-  | Query.Count { max_solutions = None } ->
-      Count (List.length (preimage ()), `Exact)
-  | Query.Count { max_solutions = Some n } ->
-      let probe = preimage ~max_solutions:(n + 1) () in
-      if List.length probe <= n then Count (List.length probe, `Exact)
-      else Count (n, `Lower_bound)
+  | Query.Enumerate _ | Query.Count _ ->
+      fst
+        (capped_outcome q.answer (fun max_solutions ->
+             (preimage ?max_solutions (), true, ())))
   | Query.Check p ->
       let all = preimage () in
       Check
@@ -149,34 +166,21 @@ let sat =
         | Query.First ->
             let v, stats = Sat_reconstruct.solve_first ?conflict_budget:budget pb in
             (Verdict v, [ stage ?stats "sat.first" ])
-        | Query.Enumerate { max_solutions } ->
-            (* probe one solution past the cap — the exact oracles'
-               convention — so a solution set that exactly fills the
-               cap still reads complete/`Exact *)
-            let probe = Option.map succ max_solutions in
-            let e, stats =
-              Sat_reconstruct.solve_enumerate ?max_solutions:probe
-                ?conflict_budget:budget pb
+        | (Query.Enumerate _ | Query.Count _) as answer ->
+            let outcome, stats =
+              capped_outcome answer (fun max_solutions ->
+                  let e, stats =
+                    Sat_reconstruct.solve_enumerate ?max_solutions
+                      ?conflict_budget:budget pb
+                  in
+                  (e.Sat_reconstruct.signals, e.complete, stats))
             in
-            let signals, complete =
-              match max_solutions with
-              | Some n when List.length e.Sat_reconstruct.signals > n ->
-                  (List.filteri (fun i _ -> i < n) e.Sat_reconstruct.signals, false)
-              | _ -> (e.Sat_reconstruct.signals, e.complete)
+            let name =
+              match answer with
+              | Query.Count _ -> "sat.count"
+              | _ -> "sat.enumerate"
             in
-            ( Enumeration { signals; complete },
-              [ stage ?stats "sat.enumerate" ] )
-        | Query.Count { max_solutions } ->
-            let probe = Option.map succ max_solutions in
-            let e, stats =
-              Sat_reconstruct.solve_enumerate ?max_solutions:probe
-                ?conflict_budget:budget pb
-            in
-            let found = List.length e.Sat_reconstruct.signals in
-            ( (match max_solutions with
-              | Some n when found > n -> Count (n, `Lower_bound)
-              | _ -> Count (found, if e.complete then `Exact else `Lower_bound)),
-              [ stage ?stats "sat.count" ] )
+            (outcome, [ stage ?stats name ])
         | Query.Check p ->
             let r, stats = Sat_reconstruct.solve_check ?conflict_budget:budget pb p in
             (Check r, [ stage ?stats "sat.check" ])
@@ -245,7 +249,8 @@ let mitm_cost_bits ~m ~k =
   let lg x = log x /. log 2. in
   if k <= 2 then lg (float_of_int (max 1 m))
   else
-    log2_choose m (k / 2) +. lg (max 1. (log2_choose m ((k + 1) / 2)))
+    Signal.log2_choose m (k / 2)
+    +. lg (max 1. (Signal.log2_choose m ((k + 1) / 2)))
 
 let mitm =
   {

@@ -67,6 +67,24 @@ val mitm_cost_bits : m:int -> k:int -> float
     [log₂ (C(m,⌊k/2⌋) · log₂ C(m,⌈k/2⌉))] — probes times binary-search
     depth. Exposed for the stream fast-path gate. *)
 
+val refuted_outcome : Query.t -> outcome
+(** The answer to a query whose entry the presolve rank check refuted:
+    the empty preimage in the query's vocabulary ([`Unsat],
+    no signals, [0, `Exact], [`Vacuous], or [`Unrepairable] for a
+    zero-budget repair). Not defined for [Certified], which skips the
+    rank check. *)
+
+val capped_outcome :
+  Query.answer ->
+  (int option -> Signal.t list * bool * 'a) ->
+  outcome * 'a
+(** The one-past-the-cap convention every engine shares for
+    [Enumerate]/[Count]: [capped_outcome answer enumerate] calls
+    [enumerate] with the answer's cap raised by one, then cuts the
+    [(signals, exhaustive, extra)] it returns back to the cap. A
+    preimage that exactly fills the cap therefore still reads
+    complete/[`Exact]. Raises [Invalid_argument] on other answers. *)
+
 val parallelizable : Query.t -> (unit, string) result
 (** The Parallel capability: [Ok ()] for the answers that split
     soundly into disjoint cubes ([First], [Enumerate], [Count]);

@@ -4,8 +4,7 @@ open Tp_sat
 (* A design pack is everything about an encoding that every
    reconstruction request would otherwise recompute: the left-nullspace
    masks of the presolve rank check, the meet-in-the-middle pair table,
-   the cube-selection variable ranking, and the parity-select CNF
-   skeleton behind [Sat_reconstruct.warm]. Compile once per design,
+   and the parity-select CNF skeleton behind [Sat_reconstruct.warm]. Compile once per design,
    persist, and stamp the warm state out per request.
 
    On-disk format (little-endian, 8-byte integers throughout):
@@ -16,7 +15,6 @@ open Tp_sat
        m timestamps            (Bitvec wire format, width b each)
        rank
        mask count, masks       (Bitvec wire format, width b each)
-       m ranking entries       (a permutation of 0..m-1)
        skeleton: nvars, nclauses, clauses (len + DIMACS literals),
                  nxors, rows (len + variables + parity)
 
@@ -35,13 +33,14 @@ type t = {
   seed : int;
   rank : int;
   shared : Presolve.shared;
-  ranking : int list;
   table : Combinatorial_reconstruct.table;
   warm : Sat_reconstruct.warm;
 }
 
 let magic = "TPPACKv0"
-let version = 1
+
+(* 2: the cube-selection ranking (which nothing read) left the payload *)
+let version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Compile *)
@@ -60,19 +59,6 @@ let scheme_name = function
   | 3 -> "bch"
   | _ -> "custom"
 
-(* Cube-selection ranking on the monolithic system: variable [i] sits
-   on one XOR row per set bit of its timestamp, so rank by popcount
-   descending, ties by cycle index — the same order [split_vars]
-   derives, fixed at the encoding level. *)
-let ranking_of encoding =
-  let m = Encoding.m encoding in
-  let occ = Array.init m (fun i -> Bitvec.popcount (Encoding.timestamp encoding i)) in
-  List.stable_sort
-    (fun a b ->
-      let c = compare occ.(b) occ.(a) in
-      if c <> 0 then c else compare a b)
-    (List.init m Fun.id)
-
 let compile encoding =
   let b = Encoding.b encoding in
   let shared = Presolve.shared encoding in
@@ -84,7 +70,6 @@ let compile encoding =
     (* row rank of A is b minus the dimension of its left null space *)
     rank = b - List.length (Presolve.masks shared);
     shared;
-    ranking = ranking_of encoding;
     table = Combinatorial_reconstruct.pair_table encoding;
     warm = Sat_reconstruct.warm encoding;
   }
@@ -95,7 +80,6 @@ let compile encoding =
 let encoding t = t.enc
 let rank t = t.rank
 let shared t = t.shared
-let ranking t = t.ranking
 let table t = t.table
 let warm t = t.warm
 
@@ -136,7 +120,6 @@ let save t path =
   let masks = Presolve.masks t.shared in
   add_int payload (List.length masks);
   List.iter (Bitvec.to_buffer payload) masks;
-  List.iter (add_int payload) t.ranking;
   let cnf = Sat_reconstruct.warm_skeleton t.warm in
   add_int payload (Cnf.nvars cnf);
   add_int payload (Cnf.nclauses cnf);
@@ -216,9 +199,6 @@ let parse raw ~pos =
     (fun v -> if Bitvec.width v <> b then failwith "Pack: mask width <> b")
     masks;
   if rank <> b - nmasks then failwith "Pack: rank inconsistent with masks";
-  let ranking = read_n m read_i in
-  if List.sort_uniq compare ranking <> List.init m Fun.id then
-    failwith "Pack: ranking is not a permutation of the cycles";
   let nvars = read_i () in
   let nclauses = read_i () in
   if nclauses < 0 then failwith "Pack: negative clause count";
@@ -246,7 +226,6 @@ let parse raw ~pos =
     seed;
     rank;
     shared = Presolve.of_masks masks;
-    ranking;
     table = Combinatorial_reconstruct.pair_table enc;
     warm = Sat_reconstruct.warm_of_skeleton ~m ~b cnf;
   }

@@ -4,9 +4,9 @@
     — as opposed to the log entry — is a pure function of the encoding:
     the left-nullspace masks behind the presolve rank check
     ({!Presolve.shared}), the meet-in-the-middle pair table
-    ({!Combinatorial_reconstruct.pair_table}), the cube-selection
-    variable ranking, and the parity-select CNF skeleton with its
-    propagated, activity-boosted solver ({!Sat_reconstruct.warm}). A
+    ({!Combinatorial_reconstruct.pair_table}), and the parity-select
+    CNF skeleton with its propagated, activity-boosted solver
+    ({!Sat_reconstruct.warm}). A
     pack compiles all of it once, saves it as a versioned, checksummed
     artifact next to the design, and loads it back so a stream request
     starts from {!Tp_sat.Solver.clone} instead of a cold re-encode.
@@ -27,7 +27,7 @@ type t
 
 val compile : Encoding.t -> t
 (** The one-off: one Gauss reduction of [A | I_b], the [O(m²)] pair
-    table, the variable ranking, and the warm solver skeleton. *)
+    table, and the warm solver skeleton. *)
 
 val save : t -> string -> unit
 (** Write the pack to a file (format: magic, version, payload length,
@@ -36,7 +36,10 @@ val save : t -> string -> unit
 type load_error =
   | Missing  (** no such file (or unreadable) *)
   | Corrupt of string  (** bad magic, checksum, truncation, bad field *)
-  | Version of int  (** recognized file, unsupported version *)
+  | Version of int
+      (** recognized file, unsupported version. The format is at
+          version 2; version-1 packs also stored a cube-selection
+          ranking, which nothing read. *)
 
 val load : string -> (t, load_error) result
 (** Read a pack back. The checksum is verified before any field is
@@ -66,12 +69,6 @@ val shared : t -> Presolve.shared
 
 val table : t -> Combinatorial_reconstruct.table
 (** The MITM half-sum tables (rebuilt at load). *)
-
-val ranking : t -> int list
-(** Cube-selection ranking of the [m] cycle variables on the
-    monolithic system: XOR-row occupancy descending, ties by index.
-    Stored for splitters; the live cube path ranks the per-entry
-    reduced system and is deliberately left unchanged. *)
 
 val warm : t -> Sat_reconstruct.warm
 (** The compiled batch skeleton for {!Sat_reconstruct.batch}'s

@@ -27,34 +27,26 @@ let chunk_list size xs =
   in
   go [] [] 0 xs
 
-let batch ?assume ?presolve ?conflict_budget ?gauss ?repair ?shared ?warm
-    ~jobs encoding entries =
-  let pool = Pool.get ~jobs:(resolve_jobs jobs) in
-  (* the encoding-only half of the rank check: computed once here (or
-     handed in, e.g. from a design pack), shared read-only by every
-     chunk worker. The warm skeleton is likewise read-only: each chunk
-     clones its own solver from the one snapshot. *)
-  let shared =
-    match shared with Some s -> s | None -> Presolve.shared encoding
-  in
-  chunk_list default_chunk entries
-  |> Pool.map_list pool (fun chunk ->
-         Sat_reconstruct.batch ?assume ?presolve ?conflict_budget ?gauss
-           ?repair ~shared ?warm encoding chunk)
-  |> List.concat
-
 let batch_emit ?assume ?presolve ?conflict_budget ?gauss ?repair ?shared ?warm
-    ~jobs encoding entries ~emit =
-  let pool = Pool.get ~jobs:(resolve_jobs jobs) in
-  let shared =
-    match shared with Some s -> s | None -> Presolve.shared encoding
+    ?jobs encoding entries ~emit =
+  let batch ?shared chunk =
+    Sat_reconstruct.batch ?assume ?presolve ?conflict_budget ?gauss ?repair
+      ?shared ?warm encoding chunk
   in
-  let chunks = Array.of_list (chunk_list default_chunk entries) in
-  Pool.map_emit pool
-    (fun chunk ->
-      Sat_reconstruct.batch ?assume ?presolve ?conflict_budget ?gauss ?repair
-        ~shared ?warm encoding chunk)
-    chunks ~emit
+  match jobs with
+  | None -> emit 0 (batch ?shared entries)
+  | Some jobs ->
+      let pool = Pool.get ~jobs:(resolve_jobs jobs) in
+      (* the encoding-only half of the rank check: computed once here
+         (or handed in, e.g. from a design pack), shared read-only by
+         every chunk worker. The warm skeleton is likewise read-only:
+         each chunk clones its own solver from the one snapshot. *)
+      let shared =
+        match shared with Some s -> s | None -> Presolve.shared encoding
+      in
+      Pool.map_emit pool (batch ~shared)
+        (Array.of_list (chunk_list default_chunk entries))
+        ~emit:(fun chunk results -> emit (chunk * default_chunk) results)
 
 (* ------------------------------------------------------------------ *)
 (* Query-level parallelism: cube-and-conquer on the pool               *)
@@ -73,12 +65,17 @@ let pp_cube c =
          Printf.sprintf "%sx%d" (if Lit.sign l then "+" else "-") (Lit.var l))
        c)
 
-let cube_stage i n cube stats =
-  {
-    Engine.stage = Printf.sprintf "sat.cube[%d/%d]" i n;
-    detail = (if cube = [] then "(empty cube)" else pp_cube cube);
-    stats;
-  }
+(* one stage per cube, with that cube's private-solver stats *)
+let cube_stages cubes results =
+  let n = Array.length cubes in
+  List.mapi
+    (fun i (_, stats) ->
+      {
+        Engine.stage = Printf.sprintf "sat.cube[%d/%d]" i n;
+        detail = (if cubes.(i) = [] then "(empty cube)" else pp_cube cubes.(i));
+        stats;
+      })
+    (Array.to_list results)
 
 (* First: the answer is the witness of the LOWEST-indexed Sat cube —
    not the first to finish. Any Sat cube cancels only higher-indexed
@@ -97,8 +94,8 @@ let run_first ?conflict_budget pool pb cubes =
         if Atomic.get stops.(i) then ((`Unknown :> Sat_reconstruct.verdict), None)
         else begin
           let v, st =
-            Sat_reconstruct.solve_first_cube ?conflict_budget
-              ~stop:stops.(i) ~cube:cubes_a.(i) pb
+            Sat_reconstruct.solve_first ?conflict_budget ~stop:stops.(i)
+              ~cube:cubes_a.(i) pb
           in
           (match v with
           | `Signal _ ->
@@ -123,11 +120,7 @@ let run_first ?conflict_budget pool pb cubes =
       (fun acc (v, _) -> if v = `Unknown then acc + 1 else acc)
       0 results
   in
-  let stages =
-    List.mapi (fun i (_, st) -> cube_stage i n cubes_a.(i) st)
-      (Array.to_list results)
-  in
-  (Engine.Verdict !verdict, unknowns, stages)
+  (Engine.Verdict !verdict, unknowns, cube_stages cubes_a results)
 
 (* Enumerate/Count: no cancellation — every cube runs to completion so
    the merge is deterministic. The cubes partition the preimage, so
@@ -141,7 +134,7 @@ let run_enumerations ?max_solutions ?conflict_budget pool pb cubes =
   let results =
     Pool.map pool
       (fun i ->
-        Sat_reconstruct.solve_enumerate_cube ?max_solutions ?conflict_budget
+        Sat_reconstruct.solve_enumerate ?max_solutions ?conflict_budget
           ~cube:cubes_a.(i) pb)
       (Array.init n Fun.id)
   in
@@ -150,26 +143,12 @@ let run_enumerations ?max_solutions ?conflict_budget pool pb cubes =
       (fun (e, _) -> e.Sat_reconstruct.signals)
       (Array.to_list results)
   in
-  let all_complete =
-    Array.for_all (fun (e, _) -> e.Sat_reconstruct.complete) results
-  in
   let incomplete =
     Array.fold_left
       (fun acc (e, _) -> if e.Sat_reconstruct.complete then acc else acc + 1)
       0 results
   in
-  let stages =
-    List.mapi (fun i (_, st) -> cube_stage i n cubes_a.(i) st)
-      (Array.to_list results)
-  in
-  (signals, all_complete, incomplete, stages)
-
-let refuted_outcome (q : Query.t) =
-  match q.answer with
-  | Query.First -> Engine.Verdict `Unsat
-  | Query.Enumerate _ -> Engine.Enumeration { signals = []; complete = true }
-  | Query.Count _ -> Engine.Count (0, `Exact)
-  | Query.Check _ | Query.Certified | Query.Repair _ -> assert false
+  (signals, incomplete = 0, (incomplete, cube_stages cubes_a results))
 
 let run_query ?(cube_bits = default_cube_bits) ~jobs (q : Query.t) =
   (match q.answer with
@@ -182,7 +161,7 @@ let run_query ?(cube_bits = default_cube_bits) ~jobs (q : Query.t) =
   let budget = q.conflict_budget in
   match Sat_reconstruct.cubes ~bits:cube_bits pb with
   | None ->
-      ( refuted_outcome q,
+      ( Engine.refuted_outcome q,
         { cs_jobs = jobs; cs_cubes = 0; cs_incomplete = 0; cs_stages = [] } )
   | Some cubes ->
       let header n =
@@ -207,37 +186,15 @@ let run_query ?(cube_bits = default_cube_bits) ~jobs (q : Query.t) =
             run_first ?conflict_budget:budget pool pb cubes
           in
           (outcome, summary n unknowns stages)
-      | Query.Enumerate { max_solutions } ->
-          (* per-cube probe one past the cap, the engine-wide
-             convention, so an exactly-cap-filling merge still reads
-             complete *)
-          let probe = Option.map succ max_solutions in
-          let signals, complete, incomplete, stages =
-            run_enumerations ?max_solutions:probe ?conflict_budget:budget
-              pool pb cubes
+      | answer ->
+          (* every cube gets the raised cap, so an exactly-cap-filling
+             merge still reads complete *)
+          let outcome, (incomplete, stages) =
+            Engine.capped_outcome answer (fun max_solutions ->
+                run_enumerations ?max_solutions ?conflict_budget:budget pool
+                  pb cubes)
           in
-          let signals, complete =
-            match max_solutions with
-            | Some cap when List.length signals > cap ->
-                (List.filteri (fun i _ -> i < cap) signals, false)
-            | _ -> (signals, complete)
-          in
-          ( Engine.Enumeration { signals; complete },
-            summary n incomplete stages )
-      | Query.Count { max_solutions } ->
-          let probe = Option.map succ max_solutions in
-          let signals, complete, incomplete, stages =
-            run_enumerations ?max_solutions:probe ?conflict_budget:budget
-              pool pb cubes
-          in
-          let total = List.length signals in
-          let count, exactness =
-            match max_solutions with
-            | Some cap when total > cap -> (cap, `Lower_bound)
-            | _ -> (total, if complete then `Exact else `Lower_bound)
-          in
-          (Engine.Count (count, exactness), summary n incomplete stages)
-      | _ -> assert false)
+          (outcome, summary n incomplete stages))
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio racing: one hard Check query, 2-4 diversified solver

@@ -4,15 +4,15 @@
     Two orthogonal fan-outs, both with results that are {e independent
     of the pool size by construction}:
 
-    - {b entry-level} ({!batch}): a log is cut into fixed-size chunks
-      (the chunk size never depends on [jobs]), each chunk is
+    - {b entry-level} ({!batch_emit}): a log is cut into fixed-size
+      chunks (the chunk size never depends on [jobs]), each chunk is
       reconstructed by its own parity-select batch solver
       ({!Sat_reconstruct.batch}) on whichever domain picks it up, and
-      the per-chunk result lists concatenate in log order. The CDCL
-      solver is mutable and single-owner, so each domain owns its
-      chunk's solver outright; the only shared state — the F₂ rank
-      check of the encoding ({!Presolve.shared}) — is computed once
-      and read-only.
+      each chunk's results are handed back with the chunk's position
+      in the log. The CDCL solver is mutable and single-owner, so each
+      domain owns its chunk's solver outright; the only shared state —
+      the F₂ rank check of the encoding ({!Presolve.shared}) — is
+      computed once and read-only.
     - {b query-level} ({!run_query}): one hard [First]/[Enumerate]/
       [Count] query is split into [2^d] cubes over the top-ranked
       splitting variables ({!Sat_reconstruct.cubes}); cubes solve
@@ -24,37 +24,13 @@
       can never reach, so even it is scheduling-independent. *)
 
 val default_chunk : int
-(** Entries per chunk in {!batch} (8). *)
+(** Entries per chunk in {!batch_emit} with [jobs] (8). *)
 
 val default_cube_bits : int
 (** Splitting variables per hard query (3, i.e. 8 cubes). *)
 
 val resolve_jobs : int -> int
 (** [jobs <= 0] resolves to [Domain.recommended_domain_count ()]. *)
-
-val batch :
-  ?assume:Property.t list ->
-  ?presolve:bool ->
-  ?conflict_budget:int ->
-  ?gauss:bool ->
-  ?repair:int ->
-  ?shared:Presolve.shared ->
-  ?warm:Sat_reconstruct.warm ->
-  jobs:int ->
-  Encoding.t ->
-  Log_entry.t list ->
-  (Sat_reconstruct.verdict * Sat_reconstruct.health * Tp_sat.Solver.stats)
-  list
-(** Chunked-parallel {!Sat_reconstruct.batch}: same parameters, same
-    per-entry result order. Each chunk gets a fresh parity-select
-    solver, so the output is a pure function of the inputs and the
-    chunk size — byte-identical across [jobs ∈ {1, 2, 4, ...}]. (It
-    may differ from the single-solver [Sat_reconstruct.batch] in
-    which witness a satisfiable entry reports, never in verdict kind
-    or health.) [shared] hands in the read-only rank-check reduction
-    (computed here otherwise); [warm] is a compiled skeleton each
-    chunk clones its solver from, with the same eligibility rule as
-    {!Sat_reconstruct.batch}. *)
 
 val batch_emit :
   ?assume:Property.t list ->
@@ -64,7 +40,7 @@ val batch_emit :
   ?repair:int ->
   ?shared:Presolve.shared ->
   ?warm:Sat_reconstruct.warm ->
-  jobs:int ->
+  ?jobs:int ->
   Encoding.t ->
   Log_entry.t list ->
   emit:
@@ -73,16 +49,26 @@ val batch_emit :
     list ->
     unit) ->
   unit
-(** Streaming {!batch}: same chunking, same per-chunk solvers, but
-    each chunk's result list is handed to [emit chunk_index results]
-    the moment that chunk completes on the pool, instead of being
-    collected. Chunk [i] covers entries
-    [i * default_chunk .. i * default_chunk + length results - 1] of
-    the input list. Calls to [emit] are serialized
-    ({!Tp_parallel.Pool.map_emit}) but arrive in {e completion}
-    order; callers wanting log order reorder by the index. The chunk
-    partition never depends on [jobs], so the union of emitted
-    results is byte-identical across pool sizes. *)
+(** {!Sat_reconstruct.batch} over a log, scheduled in chunks: each
+    chunk's result list is handed to [emit first results], where
+    [first] is the index in [entries] of the chunk's first entry.
+
+    Without [jobs] the whole log is one chunk, solved inline on the
+    caller by exactly one [Sat_reconstruct.batch] call, and [emit 0]
+    runs once. With [jobs] the log is cut into chunks of
+    {!default_chunk} entries, each solved on the domain pool by a fresh
+    parity-select solver; [jobs = 0] means
+    [Domain.recommended_domain_count ()]. Calls to [emit] are then
+    serialized ({!Tp_parallel.Pool.map_emit}) but arrive in
+    {e completion} order; callers wanting log order reorder by
+    [first]. The chunk partition never depends on the [jobs] value, so
+    the union of emitted results is byte-identical across pool sizes
+    (a chunked run may report a different witness than the one-chunk
+    run for a satisfiable entry, never a different verdict kind or
+    health). [shared] hands in the read-only rank-check reduction
+    (computed once per call otherwise); [warm] is a compiled skeleton
+    each chunk clones its solver from, with the eligibility rule of
+    {!Sat_reconstruct.batch}. *)
 
 type cube_summary = {
   cs_jobs : int;  (** pool lanes used *)

@@ -31,20 +31,6 @@ type report = {
   stages : Engine.stage list;
 }
 
-(* The outcome a rank-refuted entry gets for each answer kind — the
-   empty preimage, phrased in that answer's vocabulary. *)
-let refuted_outcome (q : Query.t) =
-  match q.answer with
-  | Query.First -> Engine.Verdict `Unsat
-  | Query.Enumerate _ -> Engine.Enumeration { signals = []; complete = true }
-  | Query.Count _ -> Engine.Count (0, `Exact)
-  | Query.Check _ -> Engine.Check `Vacuous
-  | Query.Repair _ ->
-      (* only with a zero flip budget: the rank refutation is exactly
-         the statement that no zero-error explanation exists *)
-      Engine.Repair `Unrepairable
-  | Query.Certified -> assert false (* presolve is skipped for Certified *)
-
 (* Policy eligibility on top of raw capability: the auto planner only
    hands MITM property-free queries (the filter is exact but defeats
    the O(m) early exit) and only hands linear a coset it can sweep
@@ -292,7 +278,7 @@ let run_in ?(engine = `Auto) ?jobs (s : session) (q : Query.t) =
                 | `Pinned r -> Pinned r
                 | `Cubes _ | `Race _ -> Pinned "presolve answered the query"
               in
-              ( refuted_outcome q,
+              ( Engine.refuted_outcome q,
                 base "presolve" `Refuted parallel
                   [ ("presolve", `Cost 0.) ]
                   [] [] ))
@@ -323,6 +309,29 @@ let run_in ?(engine = `Auto) ?jobs (s : session) (q : Query.t) =
 
 let run ?engine ?jobs ?pack (q : Query.t) =
   run_in ?engine ?jobs (session ?pack q.encoding) q
+
+(* typed shorthands: one [run] each, the outcome unwrapped *)
+let ask ?assume ?conflict_budget answer encoding entry =
+  fst (run (Query.make ?assume ?conflict_budget ~answer encoding entry))
+
+let first ?assume ?conflict_budget encoding entry =
+  match ask ?assume ?conflict_budget Query.First encoding entry with
+  | Engine.Verdict v -> v
+  | _ -> assert false
+
+let enumerate ?assume ?conflict_budget ?max_solutions encoding entry =
+  match
+    ask ?assume ?conflict_budget (Query.Enumerate { max_solutions }) encoding
+      entry
+  with
+  | Engine.Enumeration { signals; complete } ->
+      { Sat_reconstruct.signals; complete }
+  | _ -> assert false
+
+let check ?assume ?conflict_budget encoding entry prop =
+  match ask ?assume ?conflict_budget (Query.Check prop) encoding entry with
+  | Engine.Check r -> r
+  | _ -> assert false
 
 (* What the auto policy would charge for this query, in cost bits —
    the admission currency: the winning engine's [cost_bits] estimate,
@@ -392,7 +401,7 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
             else sat_idx := i :: !sat_idx
       else sat_idx := i :: !sat_idx)
     entries;
-  let sat_idx = List.rev !sat_idx in
+  let sat_idx = Array.of_list (List.rev !sat_idx) in
   (* Emission is strictly in entry order: slot [i] goes out only once
      every slot below it has. Chunks completing out of order buffer in
      [out] until the prefix is ready, so the emitted stream is
@@ -409,40 +418,23 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
     if !next > first then flush ()
   in
   drain ();
-  (match sat_idx with
-  | [] -> ()
-  | _ ->
-      (* with a repair budget the batch re-runs the rank check so its
-         ladder can skip the zero-flip rung of refuted entries; with
-         none, every surviving entry already passed it above *)
-      let selected = List.map (fun i -> entries.(i)) sat_idx in
-      (match jobs with
-      | None ->
-          let results =
-            Sat_reconstruct.batch ~assume ~presolve:(repair > 0)
-              ?conflict_budget ?gauss ~repair ~shared ?warm encoding selected
-          in
-          List.iter2
-            (fun i (v, h, st) -> out.(i) <- Some (v, h, `Sat st))
-            sat_idx results
-      | Some jobs ->
-          (* classification above is sequential and jobs-independent;
-             only the SAT leftovers fan out, in fixed-size chunks, so
-             the merged triage is identical for every pool size. Each
-             chunk's results land (and the ready prefix is emitted)
-             the moment that chunk completes on the pool. *)
-          let sat_idx_a = Array.of_list sat_idx in
-          Par_reconstruct.batch_emit ~assume ~presolve:(repair > 0)
-            ?conflict_budget ?gauss ~repair ~shared ?warm ~jobs encoding
-            selected
-            ~emit:(fun chunk results ->
-              List.iteri
-                (fun off (v, h, st) ->
-                  let at = (chunk * Par_reconstruct.default_chunk) + off in
-                  out.(sat_idx_a.(at)) <- Some (v, h, `Sat st))
-                results;
-              drain ())));
-  drain ();
+  if sat_idx <> [||] then
+    (* Classification above is sequential and jobs-independent; only
+       the SAT leftovers fan out (with [jobs], in fixed-size chunks), so
+       the merged triage is identical for every pool size. Each chunk's
+       results land, and the ready prefix is emitted, the moment that
+       chunk completes. With a repair budget the batch re-runs the rank
+       check so its ladder can skip the zero-flip rung of refuted
+       entries; with none, every surviving entry already passed it. *)
+    Par_reconstruct.batch_emit ~assume ~presolve:(repair > 0)
+      ?conflict_budget ?gauss ~repair ~shared ?warm ?jobs encoding
+      (Array.to_list (Array.map (fun i -> entries.(i)) sat_idx))
+      ~emit:(fun first results ->
+        List.iteri
+          (fun off (v, h, st) ->
+            out.(sat_idx.(first + off)) <- Some (v, h, `Sat st))
+          results;
+        drain ());
   assert (!next = n)
 
 let run_stream_in ?assume ?conflict_budget ?gauss ?repair ?jobs s entries =

@@ -1,7 +1,8 @@
 (** The query planner: one entry point for every reconstruction.
 
-    Dispatch policy, generalizing PR 2's per-instance [auto_gauss] from
-    a knob inside the SAT backend to a choice {e between} backends:
+    Dispatch policy, generalizing the SAT oracle's per-instance
+    [auto_gauss] from a knob inside one backend to a choice
+    {e between} backends:
 
     + {b rank-refute}: the F₂ presolve runs first; an inconsistent
       [A | TP] answers the query with zero solver work (skipped for
@@ -165,6 +166,41 @@ val run :
     context's Gauss reduction (the report says [`Hit]); otherwise it
     is ignored ([`Stale]). Answers never depend on [pack]. *)
 
+(** {1 Typed shorthands}
+
+    One {!run} each on the {!Query.t} built from the arguments, with
+    the outcome unwrapped — for callers that want one answer kind and
+    no report. Raise [Invalid_argument] like {!Query.make}. *)
+
+val first :
+  ?assume:Property.t list ->
+  ?conflict_budget:int ->
+  Encoding.t ->
+  Log_entry.t ->
+  Sat_reconstruct.verdict
+(** One reconstruction (the paper's [.1] columns), or [`Unsat] when no
+    signal abstracts to the entry under the assumptions. *)
+
+val enumerate :
+  ?assume:Property.t list ->
+  ?conflict_budget:int ->
+  ?max_solutions:int ->
+  Encoding.t ->
+  Log_entry.t ->
+  Sat_reconstruct.enumeration
+(** All reconstructions, or the first [max_solutions] (the paper's
+    [.10] columns use [10]). The exact engines return the preimage
+    sorted rather than in solver discovery order. *)
+
+val check :
+  ?assume:Property.t list ->
+  ?conflict_budget:int ->
+  Encoding.t ->
+  Log_entry.t ->
+  Property.t ->
+  Sat_reconstruct.check_result
+(** Decide a suspected property against the log entry (§3.3). *)
+
 val run_stream :
   ?assume:Property.t list ->
   ?conflict_budget:int ->
@@ -198,8 +234,8 @@ val run_stream :
 
     [jobs] enables entry-level parallelism: the entries the fast paths
     leave for SAT fan out over the domain pool in fixed-size chunks
-    ({!Par_reconstruct.batch}), each chunk on its own parity-select
-    solver sharing one read-only presolve reduction. Classification
+    ({!Par_reconstruct.batch_emit}), each chunk on its own
+    parity-select solver sharing one read-only presolve reduction. Classification
     and chunking never depend on [jobs], so the triage is byte-for-byte
     identical for every pool size; [jobs = 0] means
     [Domain.recommended_domain_count ()].

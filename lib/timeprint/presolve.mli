@@ -13,7 +13,7 @@
     - a reduced kernel: the remaining independent rows, over fewer
       variables, which is all the solver ever needs to see.
 
-    {!Reconstruct} substitutes the eliminations out of the CNF and
+    {!Sat_reconstruct} substitutes the eliminations out of the CNF and
     cardinality encoding and maps solver witnesses back through
     [elim], so callers observe exactly the same models as without
     presolve. *)

@@ -8,7 +8,7 @@
     - {e suspected} properties — a deadline miss, a security-relevant
       early firing — are decided against the logged timeprint by asking
       whether some/every reconstruction satisfies them
-      ({!assert_violated} + SAT/UNSAT, see {!Reconstruct.check}).
+      ({!assert_violated} + SAT/UNSAT, see {!Plan.check}).
 
     The two named properties evaluated in Table 1 are here: {!p2}
     ("two consecutive changes appear at least once") and {!deadline}

@@ -23,6 +23,8 @@ let make ?(assume = []) ?conflict_budget ~answer encoding entry =
   | Repair { max_flips; k_slack } ->
       if max_flips < 0 || k_slack < 0 then
         invalid_arg "Query.make: negative repair budget"
+  | Enumerate { max_solutions = Some n } | Count { max_solutions = Some n } ->
+      if n < 0 then invalid_arg "Query.make: negative max_solutions"
   | _ -> ());
   { encoding; entry; assume; conflict_budget; answer }
 

@@ -46,6 +46,8 @@ val make :
   Log_entry.t ->
   t
 (** Raises [Invalid_argument] when the timeprint width differs from the
-    encoding's [b], or on a [Repair] answer with a negative budget. *)
+    encoding's [b], on a [Repair] answer with a negative budget, or on
+    an [Enumerate]/[Count] answer with a negative [max_solutions]
+    ([0] is a valid cap). *)
 
 val pp_answer : Format.formatter -> answer -> unit

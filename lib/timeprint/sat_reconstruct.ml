@@ -11,8 +11,22 @@ type problem = {
 
 let problem ?(assume = []) ?(presolve = true) ?gauss encoding entry =
   if Bitvec.width (Log_entry.tp entry) <> Encoding.b encoding then
-    invalid_arg "Reconstruct.problem: timeprint width <> encoding b";
+    invalid_arg "Sat_reconstruct.problem: timeprint width <> encoding b";
   { encoding; entry; assume; presolve; gauss }
+
+(* Row [j] of [A·x = TP] over the cycle variables [xvars]: bit j of the
+   timeprint is the XOR of x_i over the cycles i whose timestamp has
+   bit j set. The variables come after [init], last cycle first. *)
+let row_vars encoding xvars ~init j =
+  let vars = ref init in
+  for i = 0 to Encoding.m encoding - 1 do
+    if Bitvec.get (Encoding.timestamp encoding i) j then vars := xvars.(i) :: !vars
+  done;
+  !vars
+
+(* verified properties prune the space *)
+let assert_all cnf ~m xvars props =
+  List.iter (fun p -> Property.assert_holds cnf ~m ~xvar:(fun i -> xvars.(i)) p) props
 
 (* The legacy monolithic encoding — chunked XOR rows, no presolve, all
    [m] signal variables materialized first. Kept verbatim: it is the
@@ -22,24 +36,35 @@ let to_cnf { encoding; entry; assume; _ } =
   let m = Encoding.m encoding and b = Encoding.b encoding in
   let cnf = Cnf.create () in
   let xvars = Array.init m (fun _ -> Cnf.new_var cnf) in
-  (* rows of A·x = TP: bit j of the timeprint is the XOR of x_i over
-     cycles i whose timestamp has bit j set *)
   let tp = Log_entry.tp entry in
   for j = 0 to b - 1 do
-    let vars = ref [] in
-    for i = 0 to m - 1 do
-      if Bitvec.get (Encoding.timestamp encoding i) j then
-        vars := xvars.(i) :: !vars
-    done;
-    Cnf.add_xor_chunked cnf ~vars:!vars ~parity:(Bitvec.get tp j)
+    Cnf.add_xor_chunked cnf ~vars:(row_vars encoding xvars ~init:[] j)
+      ~parity:(Bitvec.get tp j)
   done;
   (* exactly k changes *)
   Cardinality.exactly cnf (Array.to_list (Array.map Lit.pos xvars)) (Log_entry.k entry);
-  (* verified properties prune the space *)
-  List.iter
-    (fun p -> Property.assert_holds cnf ~m ~xvar:(fun i -> xvars.(i)) p)
-    assume;
+  assert_all cnf ~m xvars assume;
   (cnf, xvars)
+
+(* A guarded constraint group, built once per [key] and cached in
+   [table]: [build g] adds constraints under the fresh guard [g], and
+   every auxiliary variable it introduced is pinned to the guard
+   (aux → g), so an entry that leaves the group off turns its whole
+   counter into unit-propagated falses instead of thousands of free
+   decisions. [flush] hands the new clauses to the solver. *)
+let guard_group table key cnf ~flush build =
+  match Hashtbl.find_opt table key with
+  | Some g -> g
+  | None ->
+      let g = Lit.pos (Cnf.new_var cnf) in
+      let first_aux = Cnf.nvars cnf in
+      build g;
+      for v = first_aux to Cnf.nvars cnf - 1 do
+        Cnf.add_clause cnf [ g; Lit.neg_of v ]
+      done;
+      flush ();
+      Hashtbl.add table key g;
+      g
 
 let signal_of_model m xvars value =
   Signal.of_bitvec
@@ -77,17 +102,6 @@ type encoded = {
   e_extract : (int -> bool) -> Signal.t;
 }
 
-let log2_choose m k =
-  let k = min k (m - k) in
-  if k < 0 then neg_infinity
-  else begin
-    let acc = ref 0. in
-    for i = 1 to k do
-      acc := !acc +. (log (float_of_int (m - k + i) /. float_of_int i) /. log 2.)
-    done;
-    !acc
-  end
-
 (* Auto policy for the in-solver Gauss engine, resolved here because
    this layer knows [k]. The engine pays off when the preimage is
    populous — eager XOR propagation then closes one of the many models
@@ -108,7 +122,7 @@ let gauss_choice pb =
       &&
       let m = Encoding.m pb.encoding and b = Encoding.b pb.encoding in
       let k = Log_entry.k pb.entry in
-      log2_choose m k -. float_of_int b >= 10.
+      Signal.log2_choose m k -. float_of_int b >= 10.
 
 let auto_gauss pb = gauss_choice { pb with gauss = None }
 
@@ -141,9 +155,7 @@ let encode ?(materialize = false) pb =
           e);
     add_rows cnf rows (fun i -> xvars.(i));
     Cardinality.exactly cnf (Array.to_list (Array.map Lit.pos xvars)) k;
-    List.iter
-      (fun p -> Property.assert_holds cnf ~m ~xvar:(fun i -> xvars.(i)) p)
-      pb.assume;
+    assert_all cnf ~m xvars pb.assume;
     {
       e_cnf = cnf;
       e_xvars = Some xvars;
@@ -203,7 +215,7 @@ type verdict = [ `Signal of Signal.t | `Unsat | `Unknown ]
 (* branch on the (surviving) signal variables before the cardinality
    auxiliaries — same heuristic [batch] uses, and what lets the Gauss
    rows do the propagating *)
-let solver_for ?stop ?(seed = 0) pb e =
+let solver_for ?stop ?(seed = 0) ?(cube = []) pb e =
   let s = Solver.of_cnf ~gauss:(gauss_choice pb) e.e_cnf in
   Solver.boost s e.e_proj;
   (* portfolio hooks: seed 0 is the identity, so the canonical config
@@ -211,6 +223,9 @@ let solver_for ?stop ?(seed = 0) pb e =
      first finisher cancel its siblings *)
   Solver.diversify s ~seed;
   (match stop with Some f -> Solver.share_stop s f | None -> ());
+  (* a cube's solver is private to its worker, so the cube literals can
+     be asserted as unit clauses rather than assumptions *)
+  List.iter (fun l -> Solver.add_clause s [ l ]) cube;
   s
 
 type certified =
@@ -228,7 +243,7 @@ let first_certified ?conflict_budget pb : certified =
       let proof = Solver.proof s in
       match Drat.check clausal proof with
       | Ok () -> `Unsat_certified proof
-      | Error e -> failwith ("Reconstruct.first_certified: bad certificate: " ^ e))
+      | Error e -> failwith ("Sat_reconstruct.first_certified: bad certificate: " ^ e))
 
 (* Test-only knob: re-run every [`Unsat] answer of {!solve_first}
    (rank refutations included) through the proof-carrying pipeline and
@@ -238,28 +253,31 @@ let first_certified ?conflict_budget pb : certified =
 let certify_unsat = ref false
 let set_certify_unsat b = certify_unsat := b
 
-let recheck_unsat pb =
-  match first_certified pb with
-  | `Unsat_certified _ -> ()
-  | `Signal _ ->
-      failwith
-        "Reconstruct.certify_unsat: UNSAT verdict but the certified rerun \
-         found a model"
-  | `Unknown ->
-      failwith "Reconstruct.certify_unsat: certified rerun was inconclusive"
+(* A cube's [`Unsat] says nothing about the whole problem, so there is
+   no refutation to certify: the recheck runs only without a cube. *)
+let recheck_unsat ?cube pb =
+  if !certify_unsat && cube = None then
+    match first_certified pb with
+    | `Unsat_certified _ -> ()
+    | `Signal _ ->
+        failwith
+          "Sat_reconstruct.solve_first: UNSAT verdict but the certified \
+           rerun found a model"
+    | `Unknown ->
+        failwith "Sat_reconstruct.solve_first: certified rerun was inconclusive"
 
-let solve_first ?conflict_budget pb =
+let solve_first ?conflict_budget ?stop ?cube pb =
   match encode pb with
   | `Unsat ->
-      if !certify_unsat then recheck_unsat pb;
+      recheck_unsat ?cube pb;
       (`Unsat, None)
   | `Enc e ->
-      let s = solver_for pb e in
+      let s = solver_for ?stop ?cube pb e in
       let v =
         match Solver.solve ?conflict_budget s with
         | Sat -> `Signal (e.e_extract (Solver.value s))
         | Unsat ->
-            if !certify_unsat then recheck_unsat pb;
+            recheck_unsat ?cube pb;
             `Unsat
         | Unknown -> `Unknown
       in
@@ -269,19 +287,11 @@ let first ?conflict_budget pb = fst (solve_first ?conflict_budget pb)
 
 type enumeration = { signals : Signal.t list; complete : bool }
 
-let signals_of_models m models =
-  List.map
-    (fun model ->
-      Signal.of_bitvec
-        (Bitvec.of_indices ~width:m
-           (List.filter (fun i -> model.(i)) (List.init m Fun.id))))
-    models
-
-let solve_enumerate ?max_solutions ?conflict_budget pb =
+let solve_enumerate ?max_solutions ?conflict_budget ?stop ?cube pb =
   match encode pb with
   | `Unsat -> ({ signals = []; complete = true }, None)
   | `Enc e ->
-      let s = solver_for pb e in
+      let s = solver_for ?stop ?cube pb e in
       let { Allsat.models; complete } =
         Allsat.enumerate ?max_models:max_solutions ?conflict_budget s
           ~project:e.e_proj
@@ -295,10 +305,6 @@ let solve_enumerate ?max_solutions ?conflict_budget pb =
 
 let enumerate ?max_solutions ?conflict_budget pb =
   fst (solve_enumerate ?max_solutions ?conflict_budget pb)
-
-let count ?max_solutions ?conflict_budget pb =
-  let { signals; complete } = enumerate ?max_solutions ?conflict_budget pb in
-  (List.length signals, if complete then `Exact else `Lower_bound)
 
 type check_result =
   [ `Holds_in_all | `Violated_in_all | `Mixed | `Vacuous | `Unknown ]
@@ -325,28 +331,6 @@ let exists_with ?stop ?seed ?conflict_budget pb extra_polarity prop =
       in
       (r, Some (Solver.stats s))
 
-let add_stats a b =
-  match (a, b) with
-  | None, s | s, None -> s
-  | Some a, Some b ->
-      Some
-        {
-          Solver.conflicts = a.Solver.conflicts + b.Solver.conflicts;
-          decisions = a.decisions + b.decisions;
-          propagations = a.propagations + b.propagations;
-          learnt = a.learnt + b.learnt;
-          restarts = a.restarts + b.restarts;
-          gauss_rows = max a.gauss_rows b.gauss_rows;
-          gauss_elims = a.gauss_elims + b.gauss_elims;
-          gauss_props = a.gauss_props + b.gauss_props;
-          gauss_conflicts = a.gauss_conflicts + b.gauss_conflicts;
-          subsumed = a.subsumed + b.subsumed;
-          strengthened = a.strengthened + b.strengthened;
-          eliminated = a.eliminated + b.eliminated;
-          vivified = a.vivified + b.vivified;
-          xors_recovered = a.xors_recovered + b.xors_recovered;
-        }
-
 let solve_check ?stop ?seed ?conflict_budget pb prop =
   let some_sat, st_sat = exists_with ?stop ?seed ?conflict_budget pb `Holds prop in
   let some_viol, st_viol =
@@ -360,9 +344,10 @@ let solve_check ?stop ?seed ?conflict_budget pb prop =
     | `No, `No -> `Vacuous
     | `Unknown, _ | _, `Unknown -> `Unknown
   in
-  (r, add_stats st_sat st_viol)
-
-let check ?conflict_budget pb prop = fst (solve_check ?conflict_budget pb prop)
+  ( r,
+    match (st_sat, st_viol) with
+    | None, s | s, None -> s
+    | Some a, Some b -> Some (Solver.stats_add a b) )
 
 let pp_check_result ppf r =
   Format.pp_print_string ppf
@@ -416,8 +401,9 @@ let pp_repair_verdict ppf = function
    the linear system is inconsistent — makes uncorrupted entries come
    back [`Clean] with no repair machinery engaged. *)
 let solve_repair ?conflict_budget ?(k_slack = 0) ~max_flips pb =
-  if max_flips < 0 then invalid_arg "Reconstruct.repair: negative max_flips";
-  if k_slack < 0 then invalid_arg "Reconstruct.repair: negative k_slack";
+  if max_flips < 0 then
+    invalid_arg "Sat_reconstruct.solve_repair: negative max_flips";
+  if k_slack < 0 then invalid_arg "Sat_reconstruct.solve_repair: negative k_slack";
   let m = Encoding.m pb.encoding and b = Encoding.b pb.encoding in
   let k = Log_entry.k pb.entry in
   let max_flips = min max_flips b in
@@ -430,17 +416,12 @@ let solve_repair ?conflict_budget ?(k_slack = 0) ~max_flips pb =
     let tp = Log_entry.tp pb.entry in
     let gauss = gauss_choice pb in
     for j = 0 to b - 1 do
-      let vars = ref [ evars.(j) ] in
-      for i = 0 to m - 1 do
-        if Bitvec.get (Encoding.timestamp pb.encoding i) j then
-          vars := xvars.(i) :: !vars
-      done;
-      if gauss then Cnf.add_xor cnf ~vars:!vars ~parity:(Bitvec.get tp j)
-      else Cnf.add_xor_chunked cnf ~vars:!vars ~parity:(Bitvec.get tp j)
+      let vars = row_vars pb.encoding xvars ~init:[ evars.(j) ] j in
+      let parity = Bitvec.get tp j in
+      if gauss then Cnf.add_xor cnf ~vars ~parity
+      else Cnf.add_xor_chunked cnf ~vars ~parity
     done;
-    List.iter
-      (fun p -> Property.assert_holds cnf ~m ~xvar:(fun i -> xvars.(i)) p)
-      pb.assume;
+    assert_all cnf ~m xvars pb.assume;
     let x_lits = Array.to_list (Array.map Lit.pos xvars) in
     let e_lits = Array.to_list (Array.map Lit.pos evars) in
     let solver = Solver.create ~gauss () in
@@ -453,24 +434,13 @@ let solve_repair ?conflict_budget ?(k_slack = 0) ~max_flips pb =
     in
     flush ();
     Solver.boost solver (Array.to_list xvars);
-    (* one guarded constraint group per budget split, with the counter
-       auxiliaries pinned to the guard as in [batch] *)
+    (* one guarded constraint group per budget split *)
     let groups = Hashtbl.create 8 in
     let group (f, d) =
-      match Hashtbl.find_opt groups (f, d) with
-      | Some g -> g
-      | None ->
-          let g = Lit.pos (Cnf.new_var cnf) in
-          let first_aux = Cnf.nvars cnf in
+      guard_group groups (f, d) cnf ~flush (fun g ->
           Cardinality.at_most ~guard:g cnf e_lits f;
           Cardinality.at_least ~guard:g cnf x_lits (max 0 (k - d));
-          Cardinality.at_most ~guard:g cnf x_lits (min m (k + d));
-          for v = first_aux to Cnf.nvars cnf - 1 do
-            Cnf.add_clause cnf [ g; Lit.neg_of v ]
-          done;
-          flush ();
-          Hashtbl.add groups (f, d) g;
-          g
+          Cardinality.at_most ~guard:g cnf x_lits (min m (k + d)))
     in
     let splits =
       List.concat_map
@@ -507,29 +477,8 @@ let solve_repair ?conflict_budget ?(k_slack = 0) ~max_flips pb =
     (run splits, Some (Solver.stats solver))
   end
 
-let repair ?conflict_budget ?k_slack ~max_flips pb =
-  fst (solve_repair ?conflict_budget ?k_slack ~max_flips pb)
-
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions                                                *)
-
-let zero_stats =
-  {
-    Solver.conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    learnt = 0;
-    restarts = 0;
-    gauss_rows = 0;
-    gauss_elims = 0;
-    gauss_props = 0;
-    gauss_conflicts = 0;
-    subsumed = 0;
-    strengthened = 0;
-    eliminated = 0;
-    vivified = 0;
-    xors_recovered = 0;
-  }
 
 module Session = struct
   type t = {
@@ -574,7 +523,7 @@ module Session = struct
         flushed_clauses = 0;
         flushed_xors = 0;
         prop_guards = [];
-        last_stats = zero_stats;
+        last_stats = Solver.zero_stats;
       }
     in
     flush t;
@@ -586,26 +535,9 @@ module Session = struct
 
   (* run a query, recording the solver-work delta it cost *)
   let measured t f =
-    let b = Solver.stats t.solver in
+    let before = Solver.stats t.solver in
     let r = f () in
-    let a = Solver.stats t.solver in
-    t.last_stats <-
-      {
-        Solver.conflicts = a.conflicts - b.conflicts;
-        decisions = a.decisions - b.decisions;
-        propagations = a.propagations - b.propagations;
-        learnt = a.learnt;
-        restarts = a.restarts - b.restarts;
-        gauss_rows = a.gauss_rows;
-        gauss_elims = a.gauss_elims;
-        gauss_props = a.gauss_props - b.gauss_props;
-        gauss_conflicts = a.gauss_conflicts - b.gauss_conflicts;
-        subsumed = a.subsumed - b.subsumed;
-        strengthened = a.strengthened - b.strengthened;
-        eliminated = a.eliminated - b.eliminated;
-        vivified = a.vivified - b.vivified;
-        xors_recovered = a.xors_recovered - b.xors_recovered;
-      };
+    t.last_stats <- Solver.stats_diff ~before ~after:(Solver.stats t.solver);
     r
 
   let first ?conflict_budget t =
@@ -633,7 +565,10 @@ module Session = struct
         (* keep the shadow problem in step with the retirement *)
         Cnf.add_clause t.cnf [ Lit.negate g ];
         t.flushed_clauses <- t.flushed_clauses + 1;
-        { signals = signals_of_models (Encoding.m t.pb.encoding) models; complete })
+        let extract model =
+          signal_of_model (Encoding.m t.pb.encoding) t.xvars (Array.get model)
+        in
+        { signals = List.map extract models; complete })
 
   let count ?max_solutions ?conflict_budget t =
     let { signals; complete } = enumerate ?max_solutions ?conflict_budget t in
@@ -666,23 +601,7 @@ module Session = struct
     let some_sat = exists_with ?conflict_budget t `Holds prop in
     let stats_sat = t.last_stats in
     let some_viol = exists_with ?conflict_budget t `Violated prop in
-    t.last_stats <-
-      {
-        Solver.conflicts = stats_sat.conflicts + t.last_stats.conflicts;
-        decisions = stats_sat.decisions + t.last_stats.decisions;
-        propagations = stats_sat.propagations + t.last_stats.propagations;
-        learnt = t.last_stats.learnt;
-        restarts = stats_sat.restarts + t.last_stats.restarts;
-        gauss_rows = t.last_stats.gauss_rows;
-        gauss_elims = t.last_stats.gauss_elims;
-        gauss_props = stats_sat.gauss_props + t.last_stats.gauss_props;
-        gauss_conflicts = stats_sat.gauss_conflicts + t.last_stats.gauss_conflicts;
-        subsumed = stats_sat.subsumed + t.last_stats.subsumed;
-        strengthened = stats_sat.strengthened + t.last_stats.strengthened;
-        eliminated = stats_sat.eliminated + t.last_stats.eliminated;
-        vivified = stats_sat.vivified + t.last_stats.vivified;
-        xors_recovered = stats_sat.xors_recovered + t.last_stats.xors_recovered;
-      };
+    t.last_stats <- Solver.stats_add stats_sat t.last_stats;
     match (some_sat, some_viol) with
     | `Yes, `Yes -> `Mixed
     | `Yes, `No -> `Holds_in_all
@@ -716,12 +635,8 @@ let warm encoding =
   let xvars = Array.init m (fun _ -> Cnf.new_var cnf) in
   let pvars = Array.init b (fun _ -> Cnf.new_var cnf) in
   for j = 0 to b - 1 do
-    let vars = ref [ pvars.(j) ] in
-    for i = 0 to m - 1 do
-      if Bitvec.get (Encoding.timestamp encoding i) j then
-        vars := xvars.(i) :: !vars
-    done;
-    Cnf.add_xor cnf ~vars:!vars ~parity:false
+    Cnf.add_xor cnf ~vars:(row_vars encoding xvars ~init:[ pvars.(j) ] j)
+      ~parity:false
   done;
   let solver = Solver.create () in
   Solver.add_cnf_from solver cnf ~nclauses:0 ~nxors:0;
@@ -737,7 +652,7 @@ let warm_clones w = Solver.clones w.w_snapshot
    from it — is identical to one compiled from the encoding. *)
 let warm_of_skeleton ~m ~b cnf =
   if Cnf.nvars cnf <> m + b then
-    invalid_arg "Reconstruct.warm_of_skeleton: skeleton nvars <> m + b";
+    invalid_arg "Sat_reconstruct.warm_of_skeleton: skeleton nvars <> m + b";
   let solver = Solver.create () in
   Solver.add_cnf_from solver cnf ~nclauses:0 ~nxors:0;
   Solver.boost solver (List.init m Fun.id);
@@ -764,7 +679,7 @@ let warm_of_skeleton ~m ~b cnf =
    the entry instead of poisoning the log. *)
 let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
     ?(repair = 0) ?shared ?warm encoding entries =
-  if repair < 0 then invalid_arg "Reconstruct.batch: negative repair budget";
+  if repair < 0 then invalid_arg "Sat_reconstruct.batch: negative repair budget";
   (* the encoding-only half of the rank check is computed once (or
      taken pre-computed from a parallel caller) and reused per entry *)
   let shared =
@@ -776,7 +691,7 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
   List.iter
     (fun e ->
       if Bitvec.width (Log_entry.tp e) <> b then
-        invalid_arg "Reconstruct.batch: timeprint width <> encoding b")
+        invalid_arg "Sat_reconstruct.batch: timeprint width <> encoding b")
     entries;
   (* a compiled skeleton stands in for the construction below only in
      the exact configuration it was compiled for; any other call falls
@@ -786,7 +701,7 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
     match warm with
     | Some w when assume = [] && repair = 0 && gauss = None ->
         if w.w_m <> m || w.w_b <> b then
-          invalid_arg "Reconstruct.batch: warm skeleton shape <> encoding";
+          invalid_arg "Sat_reconstruct.batch: warm skeleton shape <> encoding";
         Some w
     | _ -> None
   in
@@ -809,22 +724,19 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
           else None
         in
         for j = 0 to b - 1 do
-          let vars = ref [ pvars.(j) ] in
-          (match evars with Some ev -> vars := ev.(j) :: !vars | None -> ());
-          for i = 0 to m - 1 do
-            if Bitvec.get (Encoding.timestamp encoding i) j then
-              vars := xvars.(i) :: !vars
-          done;
+          let init =
+            match evars with
+            | Some ev -> [ ev.(j); pvars.(j) ]
+            | None -> [ pvars.(j) ]
+          in
+          let vars = row_vars encoding xvars ~init j in
           (* monolithic rows feed the in-solver Gauss engine (the select
              variables p_j are ordinary matrix columns to it); chunked
              rows only when the engine is explicitly off *)
-          if gauss = Some false then
-            Cnf.add_xor_chunked cnf ~vars:!vars ~parity:false
-          else Cnf.add_xor cnf ~vars:!vars ~parity:false
+          if gauss = Some false then Cnf.add_xor_chunked cnf ~vars ~parity:false
+          else Cnf.add_xor cnf ~vars ~parity:false
         done;
-        List.iter
-          (fun p -> Property.assert_holds cnf ~m ~xvar:(fun i -> xvars.(i)) p)
-          assume;
+        assert_all cnf ~m xvars assume;
         (cnf, xvars, pvars, evars, Solver.create ?gauss ())
   in
   let flushed_clauses = ref 0 and flushed_xors = ref 0 in
@@ -845,43 +757,17 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
          variables: they determine everything else through the XOR rows
          and counters *)
       Solver.boost solver (Array.to_list xvars));
+  (* one cached [exactly k] group per distinct k *)
   let k_guards = Hashtbl.create 8 in
   let k_guard k =
-    match Hashtbl.find_opt k_guards k with
-    | Some g -> g
-    | None ->
-        let g = Lit.pos (Cnf.new_var cnf) in
-        let first_aux = Cnf.nvars cnf in
-        Cardinality.exactly ~guard:g cnf
-          (Array.to_list (Array.map Lit.pos xvars))
-          k;
-        (* pin the group's counter auxiliaries to its guard (aux → g):
-           an entry assuming a different k turns this whole counter into
-           unit-propagated falses instead of thousands of free decisions *)
-        for v = first_aux to Cnf.nvars cnf - 1 do
-          Cnf.add_clause cnf [ g; Lit.neg_of v ]
-        done;
-        flush ();
-        Hashtbl.add k_guards k g;
-        g
+    guard_group k_guards k cnf ~flush (fun g ->
+        Cardinality.exactly ~guard:g cnf (Array.to_list (Array.map Lit.pos xvars)) k)
   in
   (* cached [≤ f] bounds over the error literals, one guard per rung *)
   let e_guards = Hashtbl.create 4 in
   let e_guard ev f =
-    match Hashtbl.find_opt e_guards f with
-    | Some g -> g
-    | None ->
-        let g = Lit.pos (Cnf.new_var cnf) in
-        let first_aux = Cnf.nvars cnf in
-        Cardinality.at_most ~guard:g cnf
-          (Array.to_list (Array.map Lit.pos ev))
-          f;
-        for v = first_aux to Cnf.nvars cnf - 1 do
-          Cnf.add_clause cnf [ g; Lit.neg_of v ]
-        done;
-        flush ();
-        Hashtbl.add e_guards f g;
-        g
+    guard_group e_guards f cnf ~flush (fun g ->
+        Cardinality.at_most ~guard:g cnf (Array.to_list (Array.map Lit.pos ev)) f)
   in
   let other_guards table active acc =
     Hashtbl.fold
@@ -896,7 +782,7 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
          and a refuted entry without a repair budget is quarantined on
          the spot *)
       let refuted = presolve && Presolve.refutes_with (Lazy.force shared) entry in
-      if refuted && repair = 0 then (`Unsat, Quarantined, zero_stats)
+      if refuted && repair = 0 then (`Unsat, Quarantined, Solver.zero_stats)
       else
         let tp = Log_entry.tp entry in
         let active = k_guard (Log_entry.k entry) in
@@ -944,25 +830,7 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
           end
         in
         let verdict, health = climb 0 in
-        let after = Solver.stats solver in
-        ( verdict,
-          health,
-          {
-            Solver.conflicts = after.conflicts - before.conflicts;
-            decisions = after.decisions - before.decisions;
-            propagations = after.propagations - before.propagations;
-            learnt = after.learnt;
-            restarts = after.restarts - before.restarts;
-            gauss_rows = after.gauss_rows;
-            gauss_elims = after.gauss_elims;
-            gauss_props = after.gauss_props - before.gauss_props;
-            gauss_conflicts = after.gauss_conflicts - before.gauss_conflicts;
-            subsumed = after.subsumed - before.subsumed;
-            strengthened = after.strengthened - before.strengthened;
-            eliminated = after.eliminated - before.eliminated;
-            vivified = after.vivified - before.vivified;
-            xors_recovered = after.xors_recovered - before.xors_recovered;
-          } ))
+        (verdict, health, Solver.stats_diff ~before ~after:(Solver.stats solver)))
     entries
 
 (* ------------------------------------------------------------------ *)
@@ -982,8 +850,8 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
    variables to all 2^d combinations, every model extends exactly one
    combination, and [e_extract] is injective on projected models, so
    the per-cube signal sets partition the preimage — unions are the
-   full answer and counts add. The cube entry points deliberately
-   bypass the [certify_unsat] knob: a cube's `Unsat says nothing
+   full answer and counts add. A solve under a cube deliberately
+   bypasses the [certify_unsat] knob: a cube's `Unsat says nothing
    about the whole problem, so there is no refutation to certify. *)
 
 type cube = Lit.t list
@@ -1009,7 +877,7 @@ let split_vars e ~bits =
   List.filteri (fun i _ -> i < bits) ranked
 
 let cubes ~bits pb =
-  if bits < 0 then invalid_arg "Reconstruct.cubes: negative bits";
+  if bits < 0 then invalid_arg "Sat_reconstruct.cubes: negative bits";
   match encode pb with
   | `Unsat -> None
   | `Enc e ->
@@ -1019,40 +887,3 @@ let cubes ~bits pb =
            (1 lsl List.length vs)
            (fun c ->
              List.mapi (fun j v -> Lit.make v ((c lsr j) land 1 = 1)) vs))
-
-(* a cube's solver is private to its worker, so the cube literals can
-   be asserted as unit clauses rather than assumptions *)
-let cube_solver ?stop pb e cube =
-  let s = solver_for pb e in
-  (match stop with Some flag -> Solver.share_stop s flag | None -> ());
-  List.iter (fun l -> Solver.add_clause s [ l ]) cube;
-  s
-
-let solve_first_cube ?conflict_budget ?stop ~cube pb =
-  match encode pb with
-  | `Unsat -> (`Unsat, None)
-  | `Enc e ->
-      let s = cube_solver ?stop pb e cube in
-      let v =
-        match Solver.solve ?conflict_budget s with
-        | Sat -> `Signal (e.e_extract (Solver.value s))
-        | Unsat -> `Unsat
-        | Unknown -> `Unknown
-      in
-      (v, Some (Solver.stats s))
-
-let solve_enumerate_cube ?max_solutions ?conflict_budget ?stop ~cube pb =
-  match encode pb with
-  | `Unsat -> ({ signals = []; complete = true }, None)
-  | `Enc e ->
-      let s = cube_solver ?stop pb e cube in
-      let { Allsat.models; complete } =
-        Allsat.enumerate ?max_models:max_solutions ?conflict_budget s
-          ~project:e.e_proj
-      in
-      ( {
-          signals =
-            List.map (fun model -> e.e_extract (fun v -> model.(v))) models;
-          complete;
-        },
-        Some (Solver.stats s) )

@@ -57,15 +57,30 @@ val to_cnf : problem -> Tp_sat.Cnf.t * int array
 
 type verdict = [ `Signal of Signal.t | `Unsat | `Unknown ]
 
+type cube = Tp_sat.Lit.t list
+(** The literals defining one cube of a cube-and-conquer split
+    ({!cubes}). *)
+
 val first : ?conflict_budget:int -> problem -> verdict
 (** One reconstruction (the paper's [.1] columns), or [`Unsat] when no
     signal abstracts to the entry under the assumptions. *)
 
 val solve_first :
-  ?conflict_budget:int -> problem -> verdict * Tp_sat.Solver.stats option
+  ?conflict_budget:int ->
+  ?stop:bool Atomic.t ->
+  ?cube:cube ->
+  problem ->
+  verdict * Tp_sat.Solver.stats option
 (** {!first} plus the solver work it cost; [None] when the presolve
     refuted the entry without a solver call. The [Engine] adapters
-    thread these stats into plan reports. *)
+    thread these stats into plan reports.
+
+    [cube] restricts the search to one cube of {!cubes}, and [stop]
+    installs a shared stop flag ({!Tp_sat.Solver.share_stop}) so a
+    sibling's witness can cancel this solve; a cancelled (or
+    budget-exhausted) solve answers [`Unknown]. A cube's [`Unsat] says
+    nothing about the whole problem, so the {!set_certify_unsat}
+    recheck runs only without a cube. *)
 
 type certified =
   [ `Signal of Signal.t
@@ -94,20 +109,12 @@ val enumerate :
 val solve_enumerate :
   ?max_solutions:int ->
   ?conflict_budget:int ->
+  ?stop:bool Atomic.t ->
+  ?cube:cube ->
   problem ->
   enumeration * Tp_sat.Solver.stats option
-(** {!enumerate} plus the solver work it cost. *)
-
-val count :
-  ?max_solutions:int ->
-  ?conflict_budget:int ->
-  problem ->
-  int * [ `Exact | `Lower_bound ]
-(** Number of reconstructions. [`Exact] when the enumeration provably
-    exhausted the preimage; [`Lower_bound] when it was cut short by
-    [max_solutions] or the conflict budget — the two answers were
-    previously indistinguishable, which silently under-reported
-    preimage sizes (Table 1's [|SR|] column). *)
+(** {!enumerate} plus the solver work it cost; [stop] and [cube] as in
+    {!solve_first}. *)
 
 type check_result =
   [ `Holds_in_all  (** every reconstruction satisfies the property *)
@@ -116,11 +123,6 @@ type check_result =
   | `Vacuous  (** no reconstruction exists at all *)
   | `Unknown ]
 
-val check : ?conflict_budget:int -> problem -> Property.t -> check_result
-(** Decide a suspected property against the log entry with two SAT
-    queries (§3.3: "often we only want to know whether there is a trace
-    that satisfies or breaks a certain temporal property"). *)
-
 val solve_check :
   ?stop:bool Atomic.t ->
   ?seed:int ->
@@ -128,7 +130,10 @@ val solve_check :
   problem ->
   Property.t ->
   check_result * Tp_sat.Solver.stats option
-(** {!check} plus the summed work of its two solves.
+(** Decide a suspected property against the log entry with two SAT
+    queries (§3.3: "often we only want to know whether there is a trace
+    that satisfies or breaks a certain temporal property"), plus the
+    summed work of the two solves.
 
     [stop]/[seed] are the portfolio-racing hooks
     ({!Par_reconstruct.race_check}): [stop] is shared as the solvers'
@@ -144,7 +149,7 @@ val pp_check_result : Format.formatter -> check_result -> unit
 
     Logs arrive damaged — flipped timeprint bits on the trace channel,
     off-by-δ change counters ({!Fault} models both). A plain
-    reconstruction of such an entry is UNSAT; {!repair} instead finds
+    reconstruction of such an entry is UNSAT; {!solve_repair} instead finds
     the {e minimal-error} consistent explanation: the XOR rows are
     relaxed to [A·x = TP ⊕ err] with one error literal per timeprint
     bit, the cardinality constraint to a [±d] window around [k], and
@@ -166,23 +171,20 @@ type repair_verdict =
   | `Unrepairable  (** no explanation within the budget exists *)
   | `Unknown ]
 
-val repair :
+val solve_repair :
   ?conflict_budget:int -> ?k_slack:int -> max_flips:int -> problem ->
-  repair_verdict
+  repair_verdict * Tp_sat.Solver.stats option
 (** Minimal-error reconstruction: up to [max_flips] timeprint bit
     errors (clamped to [b]) and a counter off by at most [k_slack]
     (default [0]). With [max_flips = 0] and [k_slack = 0] this is
     {!first} in different clothing: [`Clean] iff a witness exists. The
     rank refutation disposes of every zero-flip split for free, so
     clean entries pay nothing for the repair machinery. Raises
-    [Invalid_argument] on negative budgets. *)
+    [Invalid_argument] on negative budgets.
 
-val solve_repair :
-  ?conflict_budget:int -> ?k_slack:int -> max_flips:int -> problem ->
-  repair_verdict * Tp_sat.Solver.stats option
-(** {!repair} plus the solver work across all budget splits; [None]
-    when the rank refutation answered without a solver ([max_flips = 0]
-    on an inconsistent system). *)
+    Also returns the solver work across all budget splits; [None] when
+    the rank refutation answered without a solver ([max_flips = 0] on
+    an inconsistent system). *)
 
 type health =
   | Clean  (** reconstructed as logged *)
@@ -242,7 +244,7 @@ module Session : sig
     int * [ `Exact | `Lower_bound ]
 
   val check : ?conflict_budget:int -> t -> Property.t -> check_result
-  (** As {!val:check}: two assumption-solves on the shared solver. The
+  (** As {!solve_check}: two assumption-solves on the shared solver. The
       property encodings are added once (guarded) and reused on repeat
       checks of the same property. *)
 
@@ -347,39 +349,15 @@ val batch :
     own domain) and the answers merge structurally: the cubes
     partition the preimage, so unions are the whole answer, counts
     add, and any cube left incomplete leaves the aggregate a lower
-    bound. {!Par_reconstruct} owns the merge; these hooks only expose
-    the deterministic split and the per-cube solves. *)
-
-type cube = Tp_sat.Lit.t list
-(** The literals defining one cube. *)
+    bound. {!Par_reconstruct} owns the merge; this hook only exposes
+    the deterministic split, and {!solve_first}/{!solve_enumerate}
+    take a [?cube] for the per-cube solves. *)
 
 val cubes : bits:int -> problem -> cube list option
 (** The [2^min(bits, surviving vars)] cubes over the top-ranked
-    splitting variables â the projection variables on the most XOR
+    splitting variables — the projection variables on the most XOR
     rows of the (deterministic) encoding, ties broken by variable
-    index â or [None] when the presolve rank check refutes the
+    index — or [None] when the presolve rank check refutes the
     problem outright. A pure function of the problem: the cube set
     never depends on how many domains solve it. Raises
     [Invalid_argument] on negative [bits]. *)
-
-val solve_first_cube :
-  ?conflict_budget:int ->
-  ?stop:bool Atomic.t ->
-  cube:cube ->
-  problem ->
-  verdict * Tp_sat.Solver.stats option
-(** {!solve_first} restricted to one cube. [stop] installs a shared
-    stop flag ({!Tp_sat.Solver.share_stop}) so a sibling's witness can
-    cancel this solve; a cancelled (or budget-exhausted) cube answers
-    [`Unknown]. A cube's [`Unsat] says nothing about the whole
-    problem, so the [certify_unsat] knob deliberately does not fire
-    here. *)
-
-val solve_enumerate_cube :
-  ?max_solutions:int ->
-  ?conflict_budget:int ->
-  ?stop:bool Atomic.t ->
-  cube:cube ->
-  problem ->
-  enumeration * Tp_sat.Solver.stats option
-(** {!solve_enumerate} restricted to one cube. *)

@@ -37,6 +37,15 @@ let of_string str =
 
 let pp ppf s = Format.pp_print_string ppf (to_string s)
 
+let log2_choose m k =
+  if k < 0 || k > m then neg_infinity
+  else (
+    let acc = ref 0. in
+    for i = 0 to k - 1 do
+      acc := !acc +. (log (float_of_int (m - i) /. float_of_int (i + 1)) /. log 2.)
+    done;
+    !acc)
+
 let random st ~m ~k =
   if k < 0 || k > m then invalid_arg "Signal.random: k out of range";
   (* partial Fisher–Yates over cycle indices *)

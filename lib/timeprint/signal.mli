@@ -41,6 +41,11 @@ val to_string : t -> string
 val of_string : string -> t
 (** Inverse of {!to_string} (leftmost character = cycle 0). *)
 
+val log2_choose : int -> int -> float
+(** [log₂ C(m, k)], the number of [k]-change signals over [m] cycles
+    in bits ([neg_infinity] outside [0 ≤ k ≤ m]) — the paper's
+    preimage-size estimate is [log₂ C(m, k) − b]. *)
+
 val random : Random.State.t -> m:int -> k:int -> t
 (** Uniform signal with exactly [k] changes among [m] cycles. *)
 

@@ -250,10 +250,9 @@ let test_forensics_deadline_checks () =
   let entry = List.hd (Forensics.log_timeline enc tl) in
   let flen = Frame.length (Frame.of_message Message.gearbox_info) in
   let query deadline =
-    Reconstruct.first
-      (Reconstruct.problem
-         ~assume:[ Forensics.completed_before Message.gearbox_info ~deadline ]
-         enc entry)
+    Plan.first
+      ~assume:[ Forensics.completed_before Message.gearbox_info ~deadline ]
+      enc entry
   in
   (* deadline after the actual end: satisfiable *)
   (match query (start + flen + 10) with

@@ -8,7 +8,7 @@ open Tp_bitvec
 open Timeprint
 
 (* the knob stays on for the whole binary *)
-let () = Reconstruct.set_certify_unsat true
+let () = Sat_reconstruct.set_certify_unsat true
 
 (* smallest change count with an empty preimage for this entry's
    timeprint, if any — the cheapest way to make a consistent-looking
@@ -63,8 +63,10 @@ let prop_first_certified_agrees_with_first =
           Log_entry.make ~tp:(Log_entry.tp clean)
             ~k:((Log_entry.k clean + kd) mod (m + 1))
       in
-      let pb = Reconstruct.problem e en in
-      match (Reconstruct.first pb, Reconstruct.first_certified pb) with
+      match
+        ( Plan.first e en,
+          Sat_reconstruct.first_certified (Sat_reconstruct.problem e en) )
+      with
       | `Signal _, `Signal w -> Log_entry.equal en (Logger.abstract e w)
       | `Unsat, `Unsat_certified proof -> String.length proof > 0
       | _ -> false)
@@ -80,10 +82,10 @@ let test_refuted_entry_is_certified () =
   in
   let bad = Log_entry.make ~tp:(Bitvec.of_int ~width:3 4) ~k:1 in
   Alcotest.(check bool) "premise: rank-refuted" true (Presolve.refutes e bad);
-  (match Reconstruct.first (Reconstruct.problem e bad) with
+  (match Plan.first e bad with
   | `Unsat -> ()
   | _ -> Alcotest.fail "expected Unsat");
-  match Reconstruct.first_certified (Reconstruct.problem e bad) with
+  match Sat_reconstruct.first_certified (Sat_reconstruct.problem e bad) with
   | `Unsat_certified proof ->
       Alcotest.(check bool) "non-empty certificate" true
         (String.length proof > 0)

@@ -10,6 +10,14 @@ open Timeprint
 let signal = Alcotest.testable Signal.pp Signal.equal
 let entry = Alcotest.testable Log_entry.pp Log_entry.equal
 
+(* a planned repair query: the rank check first, then the SAT ladder *)
+let plan_repair ?(k_slack = 0) ~max_flips e en =
+  match
+    Plan.run (Query.make ~answer:(Query.Repair { max_flips; k_slack }) e en)
+  with
+  | Engine.Repair r, _ -> r
+  | _ -> assert false
+
 (* ------------------------------------------------------------------ *)
 (* The injector itself                                                  *)
 
@@ -134,25 +142,24 @@ let prop_repair_matches_oracle =
              [ mask mod b; (mask / 7) mod b; (mask / 31) mod b; 0 ])
       in
       let corrupted = Fault.flip_tp clean ~bits in
-      let pb = Reconstruct.problem e corrupted in
-      let verdict = Reconstruct.repair ~max_flips:budget pb in
+      let verdict = plan_repair ~max_flips:budget e corrupted in
       match (oracle_min_weight e corrupted ~budget, verdict) with
       | Some 0, `Clean w ->
           (* the witness really abstracts to the entry as logged *)
           Log_entry.equal corrupted (Logger.abstract e w)
       | Some wstar, `Repaired r ->
           wstar > 0
-          && List.length r.Reconstruct.r_flips = wstar
-          && r.Reconstruct.r_k_delta = 0
+          && List.length r.Sat_reconstruct.r_flips = wstar
+          && r.r_k_delta = 0
           (* witness validity: abstracting the witness gives exactly the
              corrected entry *)
           && Log_entry.equal
                (Log_entry.make
                   ~tp:
                     (Bitvec.logxor (Log_entry.tp corrupted)
-                       (Bitvec.of_indices ~width:b r.Reconstruct.r_flips))
+                       (Bitvec.of_indices ~width:b r.r_flips))
                   ~k:(Log_entry.k corrupted))
-               (Logger.abstract e r.Reconstruct.r_signal)
+               (Logger.abstract e r.r_signal)
       | None, `Unrepairable -> true
       | _, `Unknown -> false (* unbounded budget must decide *)
       | _ -> false)
@@ -186,10 +193,10 @@ let prop_stream_health_matches_oracle =
       List.for_all2
         (fun en (verdict, health, _) ->
           match (oracle_min_weight e en ~budget:1, verdict, health) with
-          | Some 0, `Signal w, Reconstruct.Clean ->
+          | Some 0, `Signal w, Sat_reconstruct.Clean ->
               Log_entry.equal en (Logger.abstract e w)
-          | Some 1, `Signal _, Reconstruct.Repaired 1 -> true
-          | None, `Unsat, Reconstruct.Quarantined -> true
+          | Some 1, `Signal _, Sat_reconstruct.Repaired 1 -> true
+          | None, `Unsat, Sat_reconstruct.Quarantined -> true
           | _ -> false)
         entries results)
 
@@ -228,9 +235,9 @@ let test_acceptance_repair_recovers () =
             truth s
       | _ -> Alcotest.failf "entry %d: expected a witness" i);
       match (i, health) with
-      | 1, Reconstruct.Repaired 2 -> ()
+      | 1, Sat_reconstruct.Repaired 2 -> ()
       | 1, _ -> Alcotest.fail "corrupted entry must be Repaired with weight 2"
-      | _, Reconstruct.Clean -> ()
+      | _, Sat_reconstruct.Clean -> ()
       | _, _ -> Alcotest.failf "entry %d must be Clean" i)
     (List.combine results truths)
 
@@ -240,9 +247,9 @@ let test_acceptance_quarantine_without_repair () =
   List.iteri
     (fun i (verdict, health, _) ->
       match (i, verdict, health) with
-      | 1, `Unsat, Reconstruct.Quarantined -> ()
+      | 1, `Unsat, Sat_reconstruct.Quarantined -> ()
       | 1, _, _ -> Alcotest.fail "corrupted entry must be quarantined"
-      | _, `Signal _, Reconstruct.Clean -> ()
+      | _, `Signal _, Sat_reconstruct.Clean -> ()
       | _, _, _ ->
           Alcotest.failf "entry %d must survive its neighbour's corruption" i)
     results
@@ -269,10 +276,10 @@ let test_plan_reports_refuted_but_repairable () =
   (match outcome with
   | Engine.Repair (`Repaired r) ->
       Alcotest.(check (list int)) "names the flipped bit" [ 3 ]
-        r.Reconstruct.r_flips;
+        r.Sat_reconstruct.r_flips;
       Alcotest.check signal "ground truth back"
         (Signal.of_changes ~m:3 [ 0; 2 ])
-        r.Reconstruct.r_signal
+        r.r_signal
   | _ -> Alcotest.fail "expected a repaired outcome");
   Alcotest.(check bool) "presolve upgraded to Refuted_but_repairable" true
     (report.Plan.presolve = `Refuted_but_repairable);
@@ -296,62 +303,51 @@ let test_k_slack_repairs_counter () =
   let s = Signal.of_changes ~m:12 [ 2; 9; 11 ] in
   let clean = Logger.abstract e s in
   let corrupted = Fault.perturb_k ~m:12 clean ~delta:1 in
-  let pb = Reconstruct.problem e corrupted in
   (* no TP flips can explain an off-by-one counter here, but k-slack can *)
-  (match Reconstruct.repair ~max_flips:0 ~k_slack:1 pb with
+  (match plan_repair ~max_flips:0 ~k_slack:1 e corrupted with
   | `Repaired r ->
-      Alcotest.(check (list int)) "no flips" [] r.Reconstruct.r_flips;
-      Alcotest.(check int) "counter off by -1" (-1) r.Reconstruct.r_k_delta;
-      Alcotest.check signal "ground truth recovered" s r.Reconstruct.r_signal
+      Alcotest.(check (list int)) "no flips" [] r.Sat_reconstruct.r_flips;
+      Alcotest.(check int) "counter off by -1" (-1) r.r_k_delta;
+      Alcotest.check signal "ground truth recovered" s r.r_signal
   | _ -> Alcotest.fail "expected a counter repair");
-  match Reconstruct.repair ~max_flips:0 pb with
+  match plan_repair ~max_flips:0 e corrupted with
   | `Unrepairable -> ()
   | _ -> Alcotest.fail "without slack the perturbed counter is unrepairable"
 
 (* ------------------------------------------------------------------ *)
-(* Regression: repair-mode count under an exhausted conflict budget     *)
+(* Regression: counting a repaired entry under an exhausted budget      *)
 
 let test_count_lower_bound_on_exhausted_budget () =
   let m = 20 in
   let e = Encoding.random_constrained ~m ~b:10 ~seed:11 () in
   let s = Signal.of_changes ~m [ 1; 4; 7; 10; 13; 16 ] in
   let corrupted = Fault.flip_tp (Logger.abstract e s) ~bits:[ 2; 6 ] in
-  (* pin to the SAT oracle so the planner cannot answer with an exact
-     engine that ignores the conflict budget *)
-  let pb = Reconstruct.problem ~gauss:true e corrupted in
-  let n, exactness =
-    Reconstruct.count ~conflict_budget:1 ~repair:2 pb
+  (* diagnose, then count the preimage of the entry the repair says was
+     actually logged *)
+  let corrected =
+    match plan_repair ~max_flips:2 e corrupted with
+    | `Clean _ -> corrupted
+    | `Repaired r ->
+        Log_entry.make
+          ~tp:
+            (Bitvec.logxor (Log_entry.tp corrupted)
+               (Bitvec.of_indices ~width:10 r.Sat_reconstruct.r_flips))
+          ~k:(Log_entry.k corrupted + r.r_k_delta)
+    | `Unrepairable | `Unknown -> Alcotest.fail "expected a repair"
   in
-  Alcotest.(check bool) "budget-starved repair count is a lower bound" true
+  (* pin to the SAT oracle so no exact engine can ignore the budget *)
+  let session =
+    Sat_reconstruct.Session.create
+      (Sat_reconstruct.problem ~gauss:true e corrected)
+  in
+  let n, exactness = Sat_reconstruct.Session.count ~conflict_budget:1 session in
+  Alcotest.(check bool) "budget-starved count is a lower bound" true
     (exactness = `Lower_bound);
   Alcotest.(check bool) "count non-negative" true (n >= 0);
-  (* sanity: with an unbounded budget the same query is exact *)
-  let _, exactness' = Reconstruct.count ~repair:2 pb in
+  (* sanity: with an unbounded budget the same count is exact *)
+  let _, exactness' = Sat_reconstruct.Session.count session in
   Alcotest.(check bool) "unbounded budget is exact" true
     (exactness' = `Exact)
-
-let test_count_repair_unrepairable_is_zero_exact () =
-  (* columns {0001, 0010, 1100}: the map x -> A.x is a bijection onto
-     the vectors whose bits 2 and 3 agree. tp = 0110 has them unequal
-     (inconsistent), its two consistent one-flip neighbours 0010 and
-     1110 have unique preimages of weight 1 and 2 — never the logged
-     k = 0 — so no repair of weight <= 1 exists *)
-  let e =
-    Encoding.custom
-      [|
-        Bitvec.of_int ~width:4 1; Bitvec.of_int ~width:4 2;
-        Bitvec.of_int ~width:4 12;
-      |]
-  in
-  let bad = Log_entry.make ~tp:(Bitvec.of_int ~width:4 6) ~k:0 in
-  match oracle_min_weight e bad ~budget:1 with
-  | Some _ -> Alcotest.fail "test premise broken: oracle found a 1-flip repair"
-  | None ->
-      let n, exactness =
-        Reconstruct.count ~repair:1 (Reconstruct.problem e bad)
-      in
-      Alcotest.(check int) "zero reconstructions" 0 n;
-      Alcotest.(check bool) "exact" true (exactness = `Exact)
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -383,7 +379,5 @@ let () =
         [
           Alcotest.test_case "exhausted budget reports Lower_bound" `Quick
             test_count_lower_bound_on_exhausted_budget;
-          Alcotest.test_case "unrepairable count is 0 Exact" `Quick
-            test_count_repair_unrepairable_is_zero_exact;
         ] );
     ]

@@ -113,9 +113,6 @@ let test_pack_roundtrip () =
   Alcotest.(check int) "rank is the matrix rank"
     (F2_matrix.rank (Encoding.matrix enc))
     (Pack.rank p);
-  Alcotest.(check (list int)) "ranking is a permutation of the cycles"
-    (List.init m Fun.id)
-    (List.sort compare (Pack.ranking p));
   with_pack_file (fun path ->
       Pack.save p path;
       match Pack.load path with
@@ -123,8 +120,6 @@ let test_pack_roundtrip () =
       | Ok q ->
           Alcotest.(check bool) "loaded pack matches" true (Pack.matches q enc);
           Alcotest.(check int) "rank survives" (Pack.rank p) (Pack.rank q);
-          Alcotest.(check (list int)) "ranking survives" (Pack.ranking p)
-            (Pack.ranking q);
           Alcotest.(check string) "describe survives" (Pack.describe p)
             (Pack.describe q))
 
@@ -170,6 +165,14 @@ let test_pack_integrity () =
       Bytes.set b 8 (Char.chr 7);
       write_file path b;
       check_load "future version" (Pack.Version 7) path;
+      (* a version-1 pack (it also stored a cube-selection ranking) is
+         one the reader no longer interprets: Version 1, so the CLI
+         warns and runs cold *)
+      restore ();
+      let b = read_file path in
+      Bytes.set b 8 (Char.chr 1);
+      write_file path b;
+      check_load "version 1" (Pack.Version 1) path;
       Alcotest.check load_error "missing file" Pack.Missing
         (match Pack.load (path ^ ".does-not-exist") with
         | Ok _ -> Alcotest.fail "phantom pack"

@@ -335,21 +335,29 @@ let test_single_core_check_pinned () =
   | Plan.Portfolio { jobs = 2; _ } -> ()
   | _ -> Alcotest.fail "jobs=2 unbudgeted check must race a portfolio"
 
-let test_reconstruct_batch_jobs_facade () =
+(* without jobs the whole log is one chunk, solved inline by exactly
+   the sequential batch call *)
+let test_batch_emit_one_chunk_without_jobs () =
   let enc, log = fault_stream_instance 99 in
-  let kinds results =
-    List.map
-      (fun (v, h, _) ->
+  Alcotest.(check bool) "premise: more entries than one pooled chunk" true
+    (List.length log > Par_reconstruct.default_chunk);
+  let digest =
+    List.map (fun (v, h, st) ->
         ( (match v with
-          | `Signal _ -> `Sat
-          | `Unsat -> `Unsat
-          | `Unknown -> `Unknown),
-          h ))
-      results
+          | `Signal s -> Signal.to_string s
+          | `Unsat -> "U"
+          | `Unknown -> "?"),
+          h,
+          st ))
   in
-  Alcotest.(check bool) "facade batch ~jobs matches sequential" true
-    (kinds (Reconstruct.batch ~repair:1 ~jobs:2 enc log)
-    = kinds (Reconstruct.batch ~repair:1 enc log))
+  let chunks = ref [] in
+  Par_reconstruct.batch_emit ~repair:1 enc log ~emit:(fun first results ->
+      chunks := (first, results) :: !chunks);
+  match !chunks with
+  | [ (0, results) ] ->
+      Alcotest.(check bool) "results = Sat_reconstruct.batch" true
+        (digest results = digest (Sat_reconstruct.batch ~repair:1 enc log))
+  | _ -> Alcotest.fail "expected exactly one chunk, at index 0"
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -393,7 +401,7 @@ let () =
             test_easy_query_pinned_below_threshold;
           Alcotest.test_case "single-core check pinned, not raced" `Quick
             test_single_core_check_pinned;
-          Alcotest.test_case "Reconstruct.batch ~jobs facade" `Quick
-            test_reconstruct_batch_jobs_facade;
+          Alcotest.test_case "batch_emit without jobs is one inline chunk"
+            `Quick test_batch_emit_one_chunk_without_jobs;
         ] );
     ]

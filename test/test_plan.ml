@@ -148,10 +148,10 @@ let test_huge_nullity_falls_through () =
   (* auto: the policy must avoid linear by construction *)
   let _, report = Plan.run q in
   Alcotest.(check string) "auto avoids linear" "sat" report.Plan.chosen;
-  (* and the legacy facade (planned path) must not raise either *)
-  match Reconstruct.first (Reconstruct.problem e en) with
+  (* and the typed shorthand (planned path) must not raise either *)
+  match Plan.first e en with
   | `Signal _ -> ()
-  | _ -> Alcotest.fail "facade expected a witness"
+  | _ -> Alcotest.fail "Plan.first expected a witness"
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: batch rank-refutes inconsistent entries for free         *)
@@ -169,16 +169,18 @@ let test_batch_presolve_refutes () =
   let e = rank_deficient_encoding () in
   let good = Logger.abstract e (Signal.of_changes ~m:3 [ 0 ]) in
   let bad = Log_entry.make ~tp:(Bitvec.of_int ~width:4 8) ~k:1 in
-  let results = Reconstruct.batch e [ good; bad ] in
+  let results = Sat_reconstruct.batch e [ good; bad ] in
   (match results with
-  | [ (`Signal _, Reconstruct.Clean, _); (`Unsat, Reconstruct.Quarantined, st) ]
-    ->
+  | [
+   (`Signal _, Sat_reconstruct.Clean, _);
+   (`Unsat, Sat_reconstruct.Quarantined, st);
+  ] ->
       Alcotest.(check int) "zero conflicts" 0 st.Tp_sat.Solver.conflicts;
       Alcotest.(check int) "zero decisions" 0 st.Tp_sat.Solver.decisions;
       Alcotest.(check int) "zero propagations" 0 st.Tp_sat.Solver.propagations
   | _ -> Alcotest.fail "expected [witness; refuted]");
   (* same verdicts with the presolve disabled (the solver ground it out) *)
-  match Reconstruct.batch ~presolve:false e [ good; bad ] with
+  match Sat_reconstruct.batch ~presolve:false e [ good; bad ] with
   | [ (`Signal _, _, _); (`Unsat, _, _) ] -> ()
   | _ -> Alcotest.fail "presolve must not change batch verdicts"
 
@@ -223,14 +225,15 @@ let test_run_stream () =
   List.iter2
     (fun entry (verdict, health, tag) ->
       (* verdicts match the cold single-entry path *)
-      let cold = Reconstruct.first (Reconstruct.problem e entry) in
+      let cold = Plan.first e entry in
       (match (verdict, cold) with
       | `Signal _, `Signal _ | `Unsat, `Unsat -> ()
       | _ -> Alcotest.fail "stream verdict <> cold verdict");
       (* without a repair budget, health is Clean/Quarantined in step
          with the verdict *)
       (match (verdict, health) with
-      | `Signal _, Reconstruct.Clean | `Unsat, Reconstruct.Quarantined -> ()
+      | `Signal _, Sat_reconstruct.Clean | `Unsat, Sat_reconstruct.Quarantined ->
+          ()
       | _ -> Alcotest.fail "health out of step with verdict");
       match tag with
       | `Presolve ->
@@ -366,6 +369,28 @@ let test_session_design_check () =
     (fst (Plan.run_in s (q copy)) = fst (Plan.run_in s (q e)))
 
 (* ------------------------------------------------------------------ *)
+(* Query.make rejects what no engine could answer                      *)
+
+let test_query_make_rejects () =
+  let e = Encoding.random_constrained ~m:16 ~b:10 ~seed:5 () in
+  let en = Logger.abstract e (Signal.of_changes ~m:16 [ 2; 9 ]) in
+  let rejects what answer =
+    Alcotest.(check bool) what true
+      (match Query.make ~answer e en with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "negative enumerate cap" (Query.Enumerate { max_solutions = Some (-1) });
+  rejects "negative count cap" (Query.Count { max_solutions = Some (-1) });
+  rejects "negative repair budget" (Query.Repair { max_flips = -1; k_slack = 0 });
+  (* a zero cap is a valid question: no solutions listed, more exist *)
+  match
+    Plan.run (Query.make ~answer:(Query.Count { max_solutions = Some 0 }) e en)
+  with
+  | Engine.Count (0, `Lower_bound), _ -> ()
+  | _ -> Alcotest.fail "a count capped at 0 is 0, a lower bound"
+
+(* ------------------------------------------------------------------ *)
 (* Stream emission comes in flushed bursts                             *)
 
 type event = Emit of { line : string; sat : bool } | Flush
@@ -449,6 +474,7 @@ let () =
             test_session_table_memoized;
           Alcotest.test_case "session design check" `Quick
             test_session_design_check;
+          Alcotest.test_case "query validation" `Quick test_query_make_rejects;
         ] );
       ( "batch-presolve",
         [

@@ -141,10 +141,9 @@ let prop_pass_prunes_soundly =
       QCheck.assume (Monitor.run ~m spec s = Monitor.Pass);
       let e = Encoding.random_constrained ~m ~b:9 ~seed:mask () in
       let entry = Logger.abstract e s in
-      let pb =
-        Reconstruct.problem ~assume:[ Monitor.to_property spec ] e entry
+      let { Sat_reconstruct.signals; complete } =
+        Plan.enumerate ~assume:[ Monitor.to_property spec ] e entry
       in
-      let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
       complete && List.exists (Signal.equal s) signals)
 
 let () =

@@ -935,6 +935,64 @@ let prop_drat_random_unsat =
       | Sat | Unknown -> QCheck.assume_fail ()
       | Unsat -> Drat.check_refutation cnf s = Ok ())
 
+(* stats arithmetic: counters subtract or sum, gauges come from the
+   later (second) reading *)
+let test_stats_arithmetic () =
+  let stats base =
+    {
+      Solver.conflicts = base;
+      decisions = base + 1;
+      propagations = base + 2;
+      learnt = base + 3;
+      restarts = base + 4;
+      gauss_rows = base + 5;
+      gauss_elims = base + 6;
+      gauss_props = base + 7;
+      gauss_conflicts = base + 8;
+      subsumed = base + 9;
+      strengthened = base + 10;
+      eliminated = base + 11;
+      vivified = base + 12;
+      xors_recovered = base + 13;
+    }
+  in
+  let a = stats 10 and b = stats 100 in
+  let counters (s : Solver.stats) =
+    [
+      s.conflicts; s.decisions; s.propagations; s.restarts; s.gauss_props;
+      s.gauss_conflicts; s.subsumed; s.strengthened; s.eliminated;
+      s.vivified; s.xors_recovered;
+    ]
+  and gauges (s : Solver.stats) = [ s.learnt; s.gauss_rows; s.gauss_elims ] in
+  let d = Solver.stats_diff ~before:a ~after:b in
+  Alcotest.(check (list int)) "diff: counters subtract"
+    (List.map2 ( - ) (counters b) (counters a))
+    (counters d);
+  Alcotest.(check (list int)) "diff: gauges from after" (gauges b) (gauges d);
+  let s = Solver.stats_add a b in
+  Alcotest.(check (list int)) "add: counters sum"
+    (List.map2 ( + ) (counters a) (counters b))
+    (counters s);
+  Alcotest.(check (list int)) "add: gauges from the second" (gauges b)
+    (gauges s);
+  Alcotest.(check bool) "zero is the identity of add" true
+    (Solver.stats_add Solver.zero_stats a = a);
+  Alcotest.(check bool) "a reading minus itself is zero on every counter"
+    true
+    (List.for_all (( = ) 0) (counters (Solver.stats_diff ~before:a ~after:a)));
+  (* on a live solver: the delta over a solve is that solve's work *)
+  let p = Cnf.create () in
+  let x = Cnf.new_var p and y = Cnf.new_var p in
+  Cnf.add_clause p [ pos x; pos y ];
+  Cnf.add_clause p [ neg x; pos y ];
+  let sv = Solver.of_cnf p in
+  let before = Solver.stats sv in
+  ignore (Solver.solve sv);
+  let after = Solver.stats sv in
+  Alcotest.(check int) "live delta = decisions spent"
+    (after.decisions - before.decisions)
+    (Solver.stats_diff ~before ~after).decisions
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sat"
@@ -954,6 +1012,7 @@ let () =
           Alcotest.test_case "xor duplicates cancel" `Quick test_xor_duplicate_vars_cancel;
           Alcotest.test_case "incremental blocking" `Quick test_incremental_blocking;
           Alcotest.test_case "conflict budget" `Quick test_conflict_budget;
+          Alcotest.test_case "stats arithmetic" `Quick test_stats_arithmetic;
         ] );
       ( "assumptions",
         [

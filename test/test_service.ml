@@ -483,6 +483,28 @@ let test_daemon_bad_header_framing () =
               check_stats conn)
             [ "stream design=d n=2 jobs=x"; "flow n=2 mode=bogus" ]))
 
+(* A negative solution cap is a bad request on every answer kind, and
+   the connection keeps serving: the next request gets its reply. *)
+let test_daemon_negative_max () =
+  with_daemon (fun socket ->
+      with_conn socket (fun conn ->
+          load_design conn;
+          let e = entry_k (enc_seed 0x7155) 4 in
+          List.iter
+            (fun extra ->
+              let line =
+                Printf.sprintf "reconstruct design=d tp=%s k=%d%s max=-1"
+                  (Tp_bitvec.Bitvec.to_string (Log_entry.tp e))
+                  (Log_entry.k e) extra
+              in
+              (match Daemon.request conn ~body:[] line ~on_line:ignore with
+              | Ok (`Err l) ->
+                  Alcotest.(check bool) (line ^ " is a bad request") true
+                    (contains l "code=bad-request")
+              | _ -> Alcotest.failf "%S was not rejected" line);
+              check_stats conn)
+            [ ""; " count=1" ]))
+
 let () =
   Alcotest.run "service"
     [
@@ -518,6 +540,8 @@ let () =
           Alcotest.test_case "wire protocol e2e" `Quick test_daemon_socket;
           Alcotest.test_case "client hang-up ends only its connection" `Quick
             test_daemon_client_hangup;
+          Alcotest.test_case "negative max is a bad request" `Quick
+            test_daemon_negative_max;
           Alcotest.test_case "malformed header keeps framing" `Quick
             test_daemon_bad_header_framing;
         ] );

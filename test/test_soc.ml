@@ -260,12 +260,11 @@ let test_delayed_once_localizes () =
         (Signal.equal hw_signal
            (Signal.delay_change sim_signal ~at:delayed_cycle));
       (* the reconstruction with the delayed-once hypothesis finds it *)
-      let pb =
-        Reconstruct.problem
+      let { Sat_reconstruct.signals; complete } =
+        Plan.enumerate
           ~assume:[ Property.delayed_once sim_signal ]
           experiment_encoding hw_entry
       in
-      let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
       Alcotest.(check bool) "complete" true complete;
       Alcotest.(check bool) "ground truth found" true
         (List.exists (Signal.equal hw_signal) signals);

@@ -8,6 +8,12 @@ open Timeprint
 let signal = Alcotest.testable Signal.pp Signal.equal
 let entry = Alcotest.testable Log_entry.pp Log_entry.equal
 
+(* a planned count query *)
+let plan_count ?max_solutions e en =
+  match Plan.run (Query.make ~answer:(Query.Count { max_solutions }) e en) with
+  | Engine.Count (n, exactness), _ -> (n, exactness)
+  | _ -> assert false
+
 (* ------------------------------------------------------------------ *)
 (* Figure 4 of the paper: m = 16, b = 8                                *)
 
@@ -62,8 +68,9 @@ let test_fig4_8_with_k () =
     (List.exists (Signal.equal fig4_signal) sols)
 
 let test_fig4_sat_agrees () =
-  let pb = Reconstruct.problem fig4_encoding fig4_entry in
-  let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
+  let { Sat_reconstruct.signals; complete } =
+    Plan.enumerate fig4_encoding fig4_entry
+  in
   Alcotest.(check bool) "complete" true complete;
   Alcotest.(check int) "8 SAT solutions" 8 (List.length signals);
   let lin = List.sort Signal.compare (Linear_reconstruct.preimage fig4_encoding fig4_entry) in
@@ -72,17 +79,17 @@ let test_fig4_sat_agrees () =
 
 let test_fig4_pulse_property_unique () =
   (* "changes always come as 2 consecutive ones" isolates the actual signal *)
-  let pb =
-    Reconstruct.problem ~assume:[ Property.pulse_pairs ] fig4_encoding fig4_entry
+  let { Sat_reconstruct.signals; complete } =
+    Plan.enumerate ~assume:[ Property.pulse_pairs ] fig4_encoding fig4_entry
   in
-  let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
   Alcotest.(check bool) "complete" true complete;
   Alcotest.(check (list signal)) "unique = actual" [ fig4_signal ] signals
 
 let test_fig4_deadline_holds_in_all () =
   (* deadline at i = 8: every k=4 reconstruction changes before cycle 8 *)
-  let pb = Reconstruct.problem fig4_encoding fig4_entry in
-  let r = Reconstruct.check pb (Property.deadline ~count:1 ~before:8) in
+  let r =
+    Plan.check fig4_encoding fig4_entry (Property.deadline ~count:1 ~before:8)
+  in
   Alcotest.(check bool) "holds in all" true (r = `Holds_in_all)
 
 let test_fig4_galois () =
@@ -440,8 +447,7 @@ let prop_sat_equals_linear =
       let e = Encoding.random_constrained ~m ~b ~seed:(mask + b) () in
       let s = Signal.of_bitvec (Bitvec.of_int ~width:m mask) in
       let en = Logger.abstract e s in
-      let pb = Reconstruct.problem e en in
-      let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
+      let { Sat_reconstruct.signals; complete } = Plan.enumerate e en in
       complete
       &&
       let sat = List.sort Signal.compare signals in
@@ -460,8 +466,7 @@ let prop_sat_equals_linear_with_properties =
       let s = Signal.of_bitvec (Bitvec.of_int ~width:m mask) in
       let en = Logger.abstract e s in
       let assume = [ Property.deadline ~count ~before:6 ] in
-      let pb = Reconstruct.problem ~assume e en in
-      let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
+      let { Sat_reconstruct.signals; complete } = Plan.enumerate ~assume e en in
       complete
       &&
       let sat = List.sort Signal.compare signals in
@@ -487,7 +492,7 @@ let prop_check_classification =
         else if sat_count = 0 then `Violated_in_all
         else `Mixed
       in
-      Reconstruct.check (Reconstruct.problem e en) prop = expected)
+      Plan.check e en prop = expected)
 
 let prop_galois_insertion =
   QCheck.Test.make ~name:"Galois insertion laws (Lemma 1)" ~count:60
@@ -509,7 +514,7 @@ let test_unrealizable_entry () =
   Alcotest.(check (list signal)) "empty preimage" []
     (Linear_reconstruct.preimage e en);
   Alcotest.(check bool) "unrealizable" false (Galois.realizable e en);
-  match Reconstruct.first (Reconstruct.problem e en) with
+  match Plan.first e en with
   | `Unsat -> ()
   | _ -> Alcotest.fail "expected UNSAT"
 
@@ -517,7 +522,7 @@ let test_check_vacuous () =
   let e = Encoding.one_hot ~m:6 in
   let en = Log_entry.make ~tp:(Bitvec.of_indices ~width:6 [ 0 ]) ~k:2 in
   Alcotest.(check bool) "vacuous" true
-    (Reconstruct.check (Reconstruct.problem e en) Property.p2 = `Vacuous)
+    (Plan.check e en Property.p2 = `Vacuous)
 
 let prop_combinatorial_equals_linear =
   QCheck.Test.make ~count:80
@@ -617,12 +622,9 @@ let test_tcl_reconstruction_pruning () =
   let s = Signal.of_changes ~m [ 2; 6; 10; 14 ] in
   let entry = Logger.abstract e s in
   let c = Tcl.periodic ~offset:2 ~period:4 ~jitter:1 () in
-  let pb =
-    Reconstruct.problem
-      ~assume:[ Tcl.compile ~m ~k:(Log_entry.k entry) c ]
-      e entry
+  let { Sat_reconstruct.signals; complete } =
+    Plan.enumerate ~assume:[ Tcl.compile ~m ~k:(Log_entry.k entry) c ] e entry
   in
-  let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
   Alcotest.(check bool) "complete" true complete;
   Alcotest.(check bool) "actual found" true (List.exists (Signal.equal s) signals);
   List.iter
@@ -694,8 +696,8 @@ let test_trace_db_time_boundary () =
 
 let test_first_certified () =
   (* SAT side: finds a signal like first does *)
-  let pb = Reconstruct.problem fig4_encoding fig4_entry in
-  (match Reconstruct.first_certified pb with
+  let pb = Sat_reconstruct.problem fig4_encoding fig4_entry in
+  (match Sat_reconstruct.first_certified pb with
   | `Signal s ->
       Alcotest.(check bool) "a genuine preimage" true
         (Log_entry.equal (Logger.abstract fig4_encoding s) fig4_entry)
@@ -703,7 +705,7 @@ let test_first_certified () =
   (* UNSAT side: an unrealizable entry yields a checked certificate *)
   let e = Encoding.one_hot ~m:8 in
   let bad = Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0; 1 ]) ~k:3 in
-  match Reconstruct.first_certified (Reconstruct.problem e bad) with
+  match Sat_reconstruct.first_certified (Sat_reconstruct.problem e bad) with
   | `Unsat_certified proof ->
       Alcotest.(check bool) "non-empty certificate" true (String.length proof > 0)
   | `Signal _ -> Alcotest.fail "unrealizable entry reconstructed"
@@ -767,53 +769,60 @@ let test_combinatorial_fig4 () =
        ~assume:[ Property.pulse_pairs ])
 
 let test_max_solutions_cap () =
-  let pb = Reconstruct.problem fig4_encoding fig4_entry in
-  let { Reconstruct.signals; complete } = Reconstruct.enumerate ~max_solutions:3 pb in
+  let { Sat_reconstruct.signals; complete } =
+    Plan.enumerate ~max_solutions:3 fig4_encoding fig4_entry
+  in
   Alcotest.(check int) "3 of 8" 3 (List.length signals);
   Alcotest.(check bool) "incomplete" false complete
 
 let test_count_completeness () =
-  let pb = Reconstruct.problem fig4_encoding fig4_entry in
   Alcotest.(check bool) "exact count of 8" true
-    (Reconstruct.count pb = (8, `Exact));
+    (plan_count fig4_encoding fig4_entry = (8, `Exact));
   Alcotest.(check bool) "cap reported as lower bound" true
-    (Reconstruct.count ~max_solutions:3 pb = (3, `Lower_bound))
+    (plan_count ~max_solutions:3 fig4_encoding fig4_entry = (3, `Lower_bound))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions and batch reconstruction: one solver, same
    answers as the cold path *)
 
 let test_session_first_agrees () =
-  let s = Reconstruct.Session.create (Reconstruct.problem fig4_encoding fig4_entry) in
-  (match Reconstruct.Session.first s with
+  let s =
+    Sat_reconstruct.Session.create
+      (Sat_reconstruct.problem fig4_encoding fig4_entry)
+  in
+  (match Sat_reconstruct.Session.first s with
   | `Signal sol ->
       Alcotest.check entry "a genuine preimage" fig4_entry
         (Logger.abstract fig4_encoding sol)
   | _ -> Alcotest.fail "expected SAT");
-  let st = Reconstruct.Session.last_stats s in
+  let st = Sat_reconstruct.Session.last_stats s in
   Alcotest.(check bool) "stats populated" true (st.Tp_sat.Solver.decisions > 0)
 
 let test_session_enumerate_equals_cold () =
-  let pb = Reconstruct.problem fig4_encoding fig4_entry in
-  let cold = Reconstruct.enumerate pb in
-  let s = Reconstruct.Session.create pb in
-  let sorted e = List.sort Signal.compare e.Reconstruct.signals in
-  let warm1 = Reconstruct.Session.enumerate s in
-  Alcotest.(check bool) "complete" true warm1.Reconstruct.complete;
+  let cold = Plan.enumerate fig4_encoding fig4_entry in
+  let s =
+    Sat_reconstruct.Session.create
+      (Sat_reconstruct.problem fig4_encoding fig4_entry)
+  in
+  let sorted e = List.sort Signal.compare e.Sat_reconstruct.signals in
+  let warm1 = Sat_reconstruct.Session.enumerate s in
+  Alcotest.(check bool) "complete" true warm1.complete;
   Alcotest.(check (list signal)) "same preimage" (sorted cold) (sorted warm1);
   (* the blocking clauses were retired with their guard: a repeat
      enumeration on the same session sees the whole preimage again *)
-  let warm2 = Reconstruct.Session.enumerate s in
+  let warm2 = Sat_reconstruct.Session.enumerate s in
   Alcotest.(check (list signal)) "repeat enumeration intact" (sorted cold)
     (sorted warm2);
   Alcotest.(check bool) "count exact" true
-    (Reconstruct.Session.count s = (8, `Exact));
+    (Sat_reconstruct.Session.count s = (8, `Exact));
   Alcotest.(check bool) "capped count is a lower bound" true
-    (Reconstruct.Session.count ~max_solutions:3 s = (3, `Lower_bound))
+    (Sat_reconstruct.Session.count ~max_solutions:3 s = (3, `Lower_bound))
 
 let test_session_check_equals_cold () =
-  let pb = Reconstruct.problem fig4_encoding fig4_entry in
-  let s = Reconstruct.Session.create pb in
+  let s =
+    Sat_reconstruct.Session.create
+      (Sat_reconstruct.problem fig4_encoding fig4_entry)
+  in
   let props =
     [
       Property.deadline ~count:1 ~before:8;
@@ -826,23 +835,23 @@ let test_session_check_equals_cold () =
   in
   List.iter
     (fun p ->
-      let cold = Reconstruct.check pb p in
-      let warm = Reconstruct.Session.check s p in
+      let cold = Plan.check fig4_encoding fig4_entry p in
+      let warm = Sat_reconstruct.Session.check s p in
       Alcotest.(check bool)
         (Format.asprintf "%a agrees" Property.pp p)
         true (cold = warm))
     props;
   (* queries after the property checks still see the unpolluted preimage *)
   Alcotest.(check bool) "count still exact" true
-    (Reconstruct.Session.count s = (8, `Exact))
+    (Sat_reconstruct.Session.count s = (8, `Exact))
 
 let test_session_vacuous () =
   let e = Encoding.one_hot ~m:6 in
   let bad = Log_entry.make ~tp:(Bitvec.of_indices ~width:6 [ 0; 1 ]) ~k:3 in
-  let s = Reconstruct.Session.create (Reconstruct.problem e bad) in
-  Alcotest.(check bool) "unsat" true (Reconstruct.Session.first s = `Unsat);
+  let s = Sat_reconstruct.Session.create (Sat_reconstruct.problem e bad) in
+  Alcotest.(check bool) "unsat" true (Sat_reconstruct.Session.first s = `Unsat);
   Alcotest.(check bool) "vacuous check" true
-    (Reconstruct.Session.check s Property.p2 = `Vacuous)
+    (Sat_reconstruct.Session.check s Property.p2 = `Vacuous)
 
 let test_batch_equals_cold_firsts () =
   let e = Encoding.one_hot ~m:8 in
@@ -853,12 +862,12 @@ let test_batch_equals_cold_firsts () =
     (* an unrealizable entry: 2 TP bits set but k = 3 *)
     @ [ Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0; 1 ]) ~k:3 ]
   in
-  let batched = Reconstruct.batch e entries in
+  let batched = Sat_reconstruct.batch e entries in
   Alcotest.(check int) "one verdict per entry" (List.length entries)
     (List.length batched);
   List.iter2
     (fun en (v, _, st) ->
-      (match (Reconstruct.first (Reconstruct.problem e en), v) with
+      (match (Plan.first e en, v) with
       | `Signal _, `Signal sol ->
           Alcotest.check entry "batch solution abstracts back" en
             (Logger.abstract e sol)
@@ -872,7 +881,7 @@ let test_batch_with_properties () =
   (* the assumed property constrains every entry of the stream: under
      pulse_pairs the fig4 entry has exactly one reconstruction *)
   let batched =
-    Reconstruct.batch ~assume:[ Property.pulse_pairs ] fig4_encoding
+    Sat_reconstruct.batch ~assume:[ Property.pulse_pairs ] fig4_encoding
       [ fig4_entry ]
   in
   match batched with
@@ -884,7 +893,7 @@ let test_batch_width_mismatch () =
   let e = Encoding.one_hot ~m:8 in
   let bad = Log_entry.make ~tp:(Bitvec.of_indices ~width:4 [ 0 ]) ~k:1 in
   Alcotest.(check bool) "raises" true
-    (match Reconstruct.batch e [ bad ] with
+    (match Sat_reconstruct.batch e [ bad ] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -896,17 +905,18 @@ let prop_session_equals_cold =
       let e = Encoding.random_constrained ~m ~b ~seed:(mask lxor b) () in
       let s = Signal.of_bitvec (Bitvec.of_int ~width:m mask) in
       let en = Logger.abstract e s in
-      let pb = Reconstruct.problem e en in
-      let session = Reconstruct.Session.create pb in
-      let cold = Reconstruct.enumerate pb in
-      let warm = Reconstruct.Session.enumerate session in
+      let session =
+        Sat_reconstruct.Session.create (Sat_reconstruct.problem e en)
+      in
+      let cold = Plan.enumerate e en in
+      let warm = Sat_reconstruct.Session.enumerate session in
       let prop = Property.deadline ~count:1 ~before:5 in
-      cold.Reconstruct.complete && warm.Reconstruct.complete
-      && List.sort Signal.compare cold.Reconstruct.signals
-         = List.sort Signal.compare warm.Reconstruct.signals
-      && Reconstruct.Session.check session prop = Reconstruct.check pb prop
-      && Reconstruct.Session.count session
-         = (List.length cold.Reconstruct.signals, `Exact))
+      cold.complete && warm.complete
+      && List.sort Signal.compare cold.signals
+         = List.sort Signal.compare warm.signals
+      && Sat_reconstruct.Session.check session prop = Plan.check e en prop
+      && Sat_reconstruct.Session.count session
+         = (List.length cold.signals, `Exact))
 
 let prop_batch_equals_cold =
   QCheck.Test.make ~name:"batch verdicts = cold firsts" ~count:15
@@ -920,7 +930,7 @@ let prop_batch_equals_cold =
             Logger.abstract e (Signal.of_bitvec (Bitvec.of_int ~width:m mask)))
           masks
       in
-      let batched = Reconstruct.batch e entries in
+      let batched = Sat_reconstruct.batch e entries in
       List.for_all2
         (fun en (v, _, _) ->
           match v with
@@ -968,18 +978,16 @@ let test_presolve_rank_refuted () =
   (match Presolve.run e en with
   | `Unsat -> ()
   | `Reduced _ -> Alcotest.fail "expected a rank refutation");
-  (match Reconstruct.first (Reconstruct.problem e en) with
+  (match Plan.first e en with
   | `Unsat -> ()
   | _ -> Alcotest.fail "first must be UNSAT");
-  let { Reconstruct.signals; complete } =
-    Reconstruct.enumerate (Reconstruct.problem e en)
-  in
+  let { Sat_reconstruct.signals; complete } = Plan.enumerate e en in
   Alcotest.(check bool) "complete" true complete;
   Alcotest.(check (list signal)) "empty preimage" [] signals;
   (* the materialized (session) path reaches the same verdict *)
   match
-    Reconstruct.Session.first
-      (Reconstruct.Session.create (Reconstruct.problem e en))
+    Sat_reconstruct.Session.first
+      (Sat_reconstruct.Session.create (Sat_reconstruct.problem e en))
   with
   | `Unsat -> ()
   | _ -> Alcotest.fail "session first must be UNSAT"
@@ -1004,8 +1012,8 @@ let test_batch_gauss_modes_agree () =
         | `Unsat | `Unknown -> Alcotest.fail (label ^ ": expected a witness"))
       entries verdicts
   in
-  check "gauss on" (Reconstruct.batch ~gauss:true e entries);
-  check "gauss off" (Reconstruct.batch ~gauss:false e entries)
+  check "gauss on" (Sat_reconstruct.batch ~gauss:true e entries);
+  check "gauss off" (Sat_reconstruct.batch ~gauss:false e entries)
 
 let prop_gauss_presolve_configs_agree =
   QCheck.Test.make
@@ -1017,8 +1025,8 @@ let prop_gauss_presolve_configs_agree =
       let s = Signal.of_bitvec (Bitvec.of_int ~width:m mask) in
       let en = Logger.abstract e s in
       let run ~presolve ~gauss =
-        let pb = Reconstruct.problem ~presolve ~gauss e en in
-        let { Reconstruct.signals; complete } = Reconstruct.enumerate pb in
+        let pb = Sat_reconstruct.problem ~presolve ~gauss e en in
+        let { Sat_reconstruct.signals; complete } = Sat_reconstruct.enumerate pb in
         (complete, List.sort Signal.compare signals)
       in
       let reference = run ~presolve:false ~gauss:false in
@@ -1028,7 +1036,7 @@ let prop_gauss_presolve_configs_agree =
         && List.for_all2 Signal.equal sigs (snd reference)
       in
       let witness_ok ~presolve ~gauss =
-        match Reconstruct.first (Reconstruct.problem ~presolve ~gauss e en) with
+        match Sat_reconstruct.first (Sat_reconstruct.problem ~presolve ~gauss e en) with
         | `Signal w -> Log_entry.equal en (Logger.abstract e w)
         | `Unsat | `Unknown -> false
       in

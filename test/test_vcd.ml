@@ -116,11 +116,10 @@ let test_vcd_to_timeprint_pipeline () =
           Alcotest.(check bool) "signal recovered from VCD" true
             (Signal.equal recovered signal);
           let entry = Logger.abstract enc recovered in
-          let pb = Reconstruct.problem ~assume:[ Property.pulse_pairs ] enc entry in
-          (match Reconstruct.enumerate pb with
-          | { Reconstruct.signals = [ s ]; _ } ->
+          (match Plan.enumerate ~assume:[ Property.pulse_pairs ] enc entry with
+          | { Sat_reconstruct.signals = [ s ]; _ } ->
               Alcotest.(check bool) "reconstructed" true (Signal.equal s signal)
-          | { Reconstruct.signals; _ } ->
+          | { Sat_reconstruct.signals; _ } ->
               Alcotest.failf "expected unique reconstruction, got %d"
                 (List.length signals))
       | Ok l -> Alcotest.failf "expected 1 trace-cycle, got %d" (List.length l))
