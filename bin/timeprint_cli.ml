@@ -224,6 +224,12 @@ let service_error e =
   Format.eprintf "error: %s@." (Service.error_line e);
   exit 1
 
+(* A query constructor rejects inconsistent input with
+   [Invalid_argument]: report it as the service does, a bad request
+   with exit 1. *)
+let or_bad_request f =
+  try f () with Invalid_argument msg -> service_error (Service.Bad_request msg)
+
 (* ------------------------------------------------------------------ *)
 (* encode                                                              *)
 
@@ -518,9 +524,10 @@ let check_cmd =
       | None -> Property.p2
     in
     let q =
-      Query.make
-        ~assume:(assume_of p2 pulse deadline window)
-        ~answer:(Query.Check prop) enc entry
+      or_bad_request (fun () ->
+          Query.make
+            ~assume:(assume_of p2 pulse deadline window)
+            ~answer:(Query.Check prop) enc entry)
     in
     let outcome, report = Plan.run ~engine ?jobs q in
     maybe_explain explain report;
@@ -549,7 +556,11 @@ let check_cmd =
 
 let dimacs_cmd =
   let run enc entry p2 pulse deadline window =
-    let pb = Sat_reconstruct.problem ~assume:(assume_of p2 pulse deadline window) enc entry in
+    let pb =
+      or_bad_request (fun () ->
+          Sat_reconstruct.problem ~assume:(assume_of p2 pulse deadline window)
+            enc entry)
+    in
     let cnf, _ = Sat_reconstruct.to_cnf pb in
     print_string (Tp_sat.Dimacs.to_string cnf)
   in

@@ -61,6 +61,69 @@ let exactly ?guard p lits k =
     at_least ?guard p lits k
   end
 
+(* Bidirectional sequential counter. Register r(i,j) (0-based input i,
+   1 <= j <= bound) holds "at least j of inputs 0..i", in both
+   directions, with r(-1,j) false and r(i,0) true:
+
+     r(i-1,j) -> r(i,j)                 x_i ∧ r(i-1,j-1) -> r(i,j)
+     r(i,j) -> r(i-1,j) ∨ x_i           r(i,j) -> r(i-1,j-1)
+
+   By induction on i every register equals its count predicate in every
+   model, so the last row is a unary count of the inputs up to [bound]
+   that any window can be asserted on through assumptions alone. No
+   count exceeds n, so a bound past n is clamped to it. *)
+type counter = { inputs : int; outputs : Lit.t array }
+
+let counter p lits bound =
+  if bound < 0 then invalid_arg "Cardinality.counter: negative bound";
+  let xs = Array.of_list lits in
+  let n = Array.length xs in
+  let bound = min bound n in
+  if bound = 0 then { inputs = n; outputs = [||] }
+  else begin
+    let r =
+      Array.init n (fun _ -> Array.init bound (fun _ -> Lit.pos (Cnf.new_var p)))
+    in
+    (* registers at j = 0 are constant true and absent; at i = -1 they
+       are constant false: those literals drop out of their clauses *)
+    for i = 0 to n - 1 do
+      let x = xs.(i) in
+      for j = 1 to bound do
+        let rij = r.(i).(j - 1) in
+        if i = 0 then begin
+          if j = 1 then begin
+            Cnf.add_clause p [ Lit.negate x; rij ];
+            Cnf.add_clause p [ Lit.negate rij; x ]
+          end
+          else Cnf.add_clause p [ Lit.negate rij ]
+        end
+        else begin
+          let up = r.(i - 1).(j - 1) in
+          Cnf.add_clause p [ Lit.negate up; rij ];
+          Cnf.add_clause p [ Lit.negate rij; up; x ];
+          if j = 1 then Cnf.add_clause p [ Lit.negate x; rij ]
+          else begin
+            let diag = r.(i - 1).(j - 2) in
+            Cnf.add_clause p [ Lit.negate x; Lit.negate diag; rij ];
+            Cnf.add_clause p [ Lit.negate rij; diag ]
+          end
+        end
+      done
+    done;
+    { inputs = n; outputs = r.(n - 1) }
+  end
+
+let at_least_lit c j =
+  if j < 1 || j > Array.length c.outputs then
+    invalid_arg "Cardinality.at_least_lit: beyond the counter's bound";
+  c.outputs.(j - 1)
+
+let within c ~lo ~hi =
+  if lo > hi || lo > c.inputs || hi < 0 then
+    invalid_arg "Cardinality.within: no count lies in the window";
+  (if lo >= 1 then [ at_least_lit c lo ] else [])
+  @ if hi < c.inputs then [ Lit.negate (at_least_lit c (hi + 1)) ] else []
+
 (* Naive: forbid every (k+1)-subset from being simultaneously true. *)
 let rec subsets n = function
   | _ when n = 0 -> [ [] ]

@@ -2,11 +2,15 @@ type t = {
   mutable heap : int array; (* heap.(i) = element at heap position i *)
   mutable pos : int array; (* pos.(x) = heap position of x, or -1 *)
   mutable len : int;
-  score : int -> float;
+  mutable score : float array;
+      (* read directly, not through a closure: a [float array] load
+         compares unboxed, a closure result is boxed on every call *)
 }
 
 let create n ~score =
   { heap = Array.make (max n 1) (-1); pos = Array.make (max n 1) (-1); len = 0; score }
+
+let set_score h score = h.score <- score
 
 let grow h n =
   let old = Array.length h.pos in
@@ -32,7 +36,7 @@ let swap h i j =
 let rec sift_up h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if h.score h.heap.(i) > h.score h.heap.(parent) then begin
+    if h.score.(h.heap.(i)) > h.score.(h.heap.(parent)) then begin
       swap h i parent;
       sift_up h parent
     end
@@ -41,8 +45,8 @@ let rec sift_up h i =
 let rec sift_down h i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let best = ref i in
-  if l < h.len && h.score h.heap.(l) > h.score h.heap.(!best) then best := l;
-  if r < h.len && h.score h.heap.(r) > h.score h.heap.(!best) then best := r;
+  if l < h.len && h.score.(h.heap.(l)) > h.score.(h.heap.(!best)) then best := l;
+  if r < h.len && h.score.(h.heap.(r)) > h.score.(h.heap.(!best)) then best := r;
   if !best <> i then begin
     swap h i !best;
     sift_down h !best

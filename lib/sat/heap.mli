@@ -6,10 +6,16 @@
 
 type t
 
-val create : int -> score:(int -> float) -> t
+val create : int -> score:float array -> t
 (** [create n ~score] builds an empty heap over elements [0 .. n-1];
-    [score] is consulted on every comparison, so bumping an activity
-    requires a follow-up {!update} of that element (if present). *)
+    element [x]'s score is [score.(x)], read on every comparison, so
+    bumping an activity requires a follow-up {!update} of that element
+    (if present). [score] is shared, not copied. *)
+
+val set_score : t -> float array -> unit
+(** Re-point the heap at a new score array — after its owner replaced
+    the old one with a larger copy. The new array must agree with the
+    old on every stored element, or heap order is lost. *)
 
 val grow : t -> int -> unit
 (** Extend the element universe to [0 .. n-1]. *)
@@ -27,11 +33,11 @@ val update : t -> int -> unit
 val remove_max : t -> int
 (** Raises [Not_found] when empty. *)
 
-val copy : t -> score:(int -> float) -> t
-(** Structural copy of the heap with a fresh scoring function — used
-    when cloning a solver, whose score closure must read the clone's
-    own activity array. The caller must supply a [score] that agrees
-    with the original on every stored element, or heap order is lost. *)
+val copy : t -> score:float array -> t
+(** Structural copy of the heap over a fresh score array — used when
+    cloning a solver, whose heap must read the clone's own activity
+    array. The caller must supply a [score] that agrees with the
+    original on every stored element, or heap order is lost. *)
 
 val rebuild : t -> int list -> unit
 (** Clear and re-insert the given elements. *)

@@ -156,66 +156,60 @@ let set_inprocess_default b = inprocess_default := b
 let default_inprocess_interval = 2000
 
 let create ?gauss () =
-  let s =
-    {
-      nvars = 0;
-      assigns = [||];
-      levels = [||];
-      reasons = [||];
-      ereasons = [||];
-      activity = [||];
-      phase = [||];
-      seen = [||];
-      frozen = [||];
-      elim = [||];
-      arena = Arena.create ();
-      clauses = Ivec.create ();
-      learnts = Ivec.create ();
-      xors = Vec.create ~dummy:dummy_xclause ();
-      watches = [||];
-      xwatches = [||];
-      trail = Vec.create ~dummy:(Lit.pos 0) ();
-      trail_lim = Vec.create ~dummy:0 ();
-      qhead = 0;
-      order = Heap.create 16 ~score:(fun _ -> 0.);
-      var_inc = 1.0;
-      cla_inc = 1.0;
-      ok = true;
-      stop = Atomic.make false;
-      proof = None;
-      model = [||];
-      model_valid = false;
-      last_core = None;
-      elim_stack = [];
-      inprocess_on = !inprocess_default;
-      inprocess_interval = default_inprocess_interval;
-      inprocess_next = default_inprocess_interval;
-      inprocess_rounds = 0;
-      n_conflicts = 0;
-      n_decisions = 0;
-      n_propagations = 0;
-      n_restarts = 0;
-      restarts_base = 0;
-      n_subsumed = 0;
-      n_strengthened = 0;
-      n_eliminated = 0;
-      n_vivified = 0;
-      n_xors_recovered = 0;
-      lbd_marks = [||];
-      lbd_gen = 0;
-      gauss = None;
-      gauss_mode = gauss;
-      gauss_dirty = false;
-      n_gauss_rows = 0;
-      n_gauss_elims = 0;
-      n_gauss_props = 0;
-      n_gauss_conflicts = 0;
-    }
-  in
-  (* tie the heap's score to this very record so growing [activity]
-     stays visible to the comparison function *)
-  s.order <- Heap.create 16 ~score:(fun v -> s.activity.(v));
-  s
+  {
+    nvars = 0;
+    assigns = [||];
+    levels = [||];
+    reasons = [||];
+    ereasons = [||];
+    activity = [||];
+    phase = [||];
+    seen = [||];
+    frozen = [||];
+    elim = [||];
+    arena = Arena.create ();
+    clauses = Ivec.create ();
+    learnts = Ivec.create ();
+    xors = Vec.create ~dummy:dummy_xclause ();
+    watches = [||];
+    xwatches = [||];
+    trail = Vec.create ~dummy:(Lit.pos 0) ();
+    trail_lim = Vec.create ~dummy:0 ();
+    qhead = 0;
+    order = Heap.create 16 ~score:[||];
+    var_inc = 1.0;
+    cla_inc = 1.0;
+    ok = true;
+    stop = Atomic.make false;
+    proof = None;
+    model = [||];
+    model_valid = false;
+    last_core = None;
+    elim_stack = [];
+    inprocess_on = !inprocess_default;
+    inprocess_interval = default_inprocess_interval;
+    inprocess_next = default_inprocess_interval;
+    inprocess_rounds = 0;
+    n_conflicts = 0;
+    n_decisions = 0;
+    n_propagations = 0;
+    n_restarts = 0;
+    restarts_base = 0;
+    n_subsumed = 0;
+    n_strengthened = 0;
+    n_eliminated = 0;
+    n_vivified = 0;
+    n_xors_recovered = 0;
+    lbd_marks = [||];
+    lbd_gen = 0;
+    gauss = None;
+    gauss_mode = gauss;
+    gauss_dirty = false;
+    n_gauss_rows = 0;
+    n_gauss_elims = 0;
+    n_gauss_props = 0;
+    n_gauss_conflicts = 0;
+  }
 
 let nvars s = s.nvars
 
@@ -233,6 +227,8 @@ let grow_arrays s n =
     s.reasons <- extend s.reasons no_reason;
     s.ereasons <- extend s.ereasons empty_lits;
     s.activity <- extend s.activity 0.;
+    (* the heap reads [activity] directly: follow the new array *)
+    Heap.set_score s.order s.activity;
     s.phase <- extend s.phase false;
     s.seen <- extend s.seen false;
     s.frozen <- extend s.frozen false;
@@ -344,6 +340,15 @@ type confl = Cref of int | Clits of Lit.t array
 
 exception Conflict of confl
 
+(* Write a surviving (cref, blocker) pair back at [j] and return the
+   next write position. Top-level, so it captures nothing: a local
+   closure over a [j] ref would box [j] and allocate on every literal
+   propagated. *)
+let keep_watch wl j cr blk =
+  Ivec.set wl j cr;
+  Ivec.set wl (j + 1) blk;
+  j + 2
+
 let propagate_clauses s p =
   (* p just became true; visit clauses watching ¬p. The list is
      compacted in place (copy-back): surviving pairs slide to the
@@ -353,17 +358,12 @@ let propagate_clauses s p =
   let false_lit = Lit.negate p in
   let i = ref 0 in
   let j = ref 0 in
-  let keep cr blk =
-    Ivec.set wl !j cr;
-    Ivec.set wl (!j + 1) blk;
-    j := !j + 2
-  in
   try
     while !i < Ivec.size wl do
       let cr = Ivec.get wl !i in
       let blk = Ivec.get wl (!i + 1) in
       i := !i + 2;
-      if lit_value s (Lit.of_index blk) = 1 then keep cr blk
+      if lit_value s (Lit.of_index blk) = 1 then j := keep_watch wl !j cr blk
         (* blocker satisfied; clause untouched *)
       else begin
         (* normalize: put the false literal at position 1 *)
@@ -371,7 +371,7 @@ let propagate_clauses s p =
         let l0 = Arena.lit a cr 0 in
         if lit_value s l0 = 1 then
           (* satisfied by the other watch: remember it as the blocker *)
-          keep cr (Lit.to_index l0)
+          j := keep_watch wl !j cr (Lit.to_index l0)
         else begin
           (* look for a new literal to watch *)
           let n = Arena.size a cr in
@@ -388,7 +388,7 @@ let propagate_clauses s p =
             else incr k
           done;
           if not !found then begin
-            keep cr (Lit.to_index l0);
+            j := keep_watch wl !j cr (Lit.to_index l0);
             if lit_value s l0 = 0 then raise (Conflict (Cref cr))
             else begin
               (* unit: propagate lits.(0) *)
@@ -1807,7 +1807,7 @@ let snapshot s =
     sn_activity;
     sn_frozen = sub s.frozen;
     sn_trail = Array.init (Vec.size s.trail) (Vec.get s.trail);
-    sn_order = Heap.copy s.order ~score:(fun v -> sn_activity.(v));
+    sn_order = Heap.copy s.order ~score:sn_activity;
     sn_var_inc = s.var_inc;
     sn_cla_inc = s.cla_inc;
     sn_ok = s.ok;
@@ -1866,7 +1866,7 @@ let clone snap =
   done;
   Array.iter (Vec.push s.trail) snap.sn_trail;
   s.qhead <- Vec.size s.trail;
-  s.order <- Heap.copy snap.sn_order ~score:(fun v -> s.activity.(v));
+  s.order <- Heap.copy snap.sn_order ~score:s.activity;
   s.var_inc <- snap.sn_var_inc;
   s.cla_inc <- snap.sn_cla_inc;
   s.ok <- snap.sn_ok;

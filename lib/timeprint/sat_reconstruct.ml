@@ -46,26 +46,6 @@ let to_cnf { encoding; entry; assume; _ } =
   assert_all cnf ~m xvars assume;
   (cnf, xvars)
 
-(* A guarded constraint group, built once per [key] and cached in
-   [table]: [build g] adds constraints under the fresh guard [g], and
-   every auxiliary variable it introduced is pinned to the guard
-   (aux → g), so an entry that leaves the group off turns its whole
-   counter into unit-propagated falses instead of thousands of free
-   decisions. [flush] hands the new clauses to the solver. *)
-let guard_group table key cnf ~flush build =
-  match Hashtbl.find_opt table key with
-  | Some g -> g
-  | None ->
-      let g = Lit.pos (Cnf.new_var cnf) in
-      let first_aux = Cnf.nvars cnf in
-      build g;
-      for v = first_aux to Cnf.nvars cnf - 1 do
-        Cnf.add_clause cnf [ g; Lit.neg_of v ]
-      done;
-      flush ();
-      Hashtbl.add table key g;
-      g
-
 let signal_of_model m xvars value =
   Signal.of_bitvec
     (Bitvec.of_indices ~width:m
@@ -391,9 +371,16 @@ let pp_repair_verdict ppf = function
    error vector [err ∈ F₂ᵇ] and a counter deviation [c]: the XOR rows
    become [A·x = TP ⊕ err] — one error literal per timeprint bit, XORed
    into its row — and the cardinality window [k − c .. k + c] replaces
-   [exactly k]. Each budget split [(f, d)] (≤ f flips, ≤ d deviation)
-   lives under its own guard literal; trials run in increasing total
-   weight [f + d]. A model found at trial [(f, d)] has flip weight
+   [exactly k]. Two counters ({!Cardinality.counter}), one over the
+   cycle literals and one over the error literals, are built once.
+   Each budget split [(f, d)] (≤ f flips, ≤ d deviation) is then a set
+   of assumptions on their outputs: [¬(≥ f+1)] on the error counter
+   plus [{≥ k−d, ¬(≥ k+d+1)}] on the cycle counter. Only deviations
+   from [k − m] up to [max k (m − k)] are tried: below, no count reaches
+   [k − d], so the split is UNSAT without a solve; above, the window
+   already holds every count [0 .. m], so the split would repeat an
+   earlier trial. Trials run in increasing total weight [f + d]. A
+   model found at trial [(f, d)] has flip weight
    exactly [f] and deviation exactly [d]: any cheaper split of its
    weight was a complete earlier trial that came back UNSAT. So the
    first SAT answer is a {e minimal-error} explanation, and the clean
@@ -407,8 +394,12 @@ let solve_repair ?conflict_budget ?(k_slack = 0) ~max_flips pb =
   let m = Encoding.m pb.encoding and b = Encoding.b pb.encoding in
   let k = Log_entry.k pb.entry in
   let max_flips = min max_flips b in
+  (* whatever k and k_slack a client sends, every bound and sum below
+     lies within −m .. m + b: none can overflow *)
+  let d_lo = max 0 (k - m) and d_hi = min k_slack (max k (m - k)) in
+  let hi d = if k >= m - d then m else k + d in
   let refuted = Presolve.refutes pb.encoding pb.entry in
-  if refuted && max_flips = 0 then (`Unrepairable, None)
+  if (refuted && max_flips = 0) || d_lo > d_hi then (`Unrepairable, None)
   else begin
     let cnf = Cnf.create () in
     let xvars = Array.init m (fun _ -> Cnf.new_var cnf) in
@@ -422,44 +413,28 @@ let solve_repair ?conflict_budget ?(k_slack = 0) ~max_flips pb =
       else Cnf.add_xor_chunked cnf ~vars ~parity
     done;
     assert_all cnf ~m xvars pb.assume;
-    let x_lits = Array.to_list (Array.map Lit.pos xvars) in
-    let e_lits = Array.to_list (Array.map Lit.pos evars) in
-    let solver = Solver.create ~gauss () in
-    let flushed_clauses = ref 0 and flushed_xors = ref 0 in
-    let flush () =
-      Solver.add_cnf_from solver cnf ~nclauses:!flushed_clauses
-        ~nxors:!flushed_xors;
-      flushed_clauses := Cnf.nclauses cnf;
-      flushed_xors := Cnf.nxors cnf
-    in
-    flush ();
+    let lits vars = Array.to_list (Array.map Lit.pos vars) in
+    let cycles = Cardinality.counter cnf (lits xvars) (hi d_hi + 1) in
+    let errors = Cardinality.counter cnf (lits evars) (max_flips + 1) in
+    let solver = Solver.of_cnf ~gauss cnf in
     Solver.boost solver (Array.to_list xvars);
-    (* one guarded constraint group per budget split *)
-    let groups = Hashtbl.create 8 in
-    let group (f, d) =
-      guard_group groups (f, d) cnf ~flush (fun g ->
-          Cardinality.at_most ~guard:g cnf e_lits f;
-          Cardinality.at_least ~guard:g cnf x_lits (max 0 (k - d));
-          Cardinality.at_most ~guard:g cnf x_lits (min m (k + d)))
-    in
+    (* a split is (f, e) with deviation d = d_lo + e: ordering by
+       (f + e, e) is ordering by (f + d, d) *)
     let splits =
       List.concat_map
-        (fun f -> List.init (k_slack + 1) (fun d -> (f, d)))
+        (fun f -> List.init (d_hi - d_lo + 1) (fun e -> (f, e)))
         (List.init (max_flips + 1) Fun.id)
       |> List.filter (fun (f, _) -> not (refuted && f = 0))
-      |> List.sort (fun (f1, d1) (f2, d2) ->
-             compare (f1 + d1, d1) (f2 + d2, d2))
+      |> List.sort (fun (f1, e1) (f2, e2) ->
+             compare (f1 + e1, e1) (f2 + e2, e2))
     in
     let rec run = function
       | [] -> `Unrepairable
-      | split :: rest -> (
-          let active = group split in
+      | (f, e) :: rest -> (
+          let d = d_lo + e in
           let assumptions =
-            active
-            :: Hashtbl.fold
-                 (fun _ g acc ->
-                   if Lit.equal g active then acc else Lit.negate g :: acc)
-                 groups []
+            Cardinality.within cycles ~lo:(k - d) ~hi:(hi d)
+            @ Cardinality.within errors ~lo:0 ~hi:f
           in
           match Solver.solve ?conflict_budget ~assumptions solver with
           | Unknown -> `Unknown
@@ -665,18 +640,20 @@ let warm_of_skeleton ~m ~b cnf =
    [A] is shared, so we emit each XOR row once in the parity-select
    form [⊕ vars_j ⊕ p_j = 0] — the select variable p_j carries bit j of
    the timeprint — and pin the p_j per entry through assumptions. The
-   per-entry cardinality [exactly k] is cached under a guard literal
-   per distinct [k]. All structure learned about [A] (and the assumed
-   properties) transfers across entries.
+   cardinality is shared the same way: one counter over the cycle
+   literals, whose outputs [≥ j] the entry assumes as [{≥ k, ¬(≥ k+1)}]
+   for [exactly k]. Every entry's solve therefore propagates one small
+   counter, whatever the mix of k values in the log. All structure
+   learned about [A] (and the assumed properties) transfers across
+   entries.
 
    With [repair = e > 0] the rows additionally close on shared error
-   variables [err_j] (so they read [⊕ vars_j ⊕ p_j ⊕ err_j = 0]) and
-   each entry runs the budget ladder [f = 0, 1, .., e]: the [f = 0]
-   trial pins every [err_j] false — exactly today's clean solve — and
-   each [f > 0] trial assumes a cached guarded [≤ f] bound over the
-   error literals. The first SAT rung names the entry's minimal flip
-   weight ([Repaired f]); a ladder that UNSATs through [e] quarantines
-   the entry instead of poisoning the log. *)
+   variables [err_j] (so they read [⊕ vars_j ⊕ p_j ⊕ err_j = 0]), a
+   second counter runs over them, and each entry runs the budget
+   ladder [f = 0, 1, .., e], rung [f] assuming [¬(≥ f+1)] on the error
+   counter. Rung 0 is the clean solve. The first SAT rung names the
+   entry's minimal flip weight ([Repaired f]); a ladder that UNSATs
+   through [e] quarantines the entry instead of poisoning the log. *)
 let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
     ?(repair = 0) ?shared ?warm encoding entries =
   if repair < 0 then invalid_arg "Sat_reconstruct.batch: negative repair budget";
@@ -757,22 +734,31 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
          variables: they determine everything else through the XOR rows
          and counters *)
       Solver.boost solver (Array.to_list xvars));
-  (* one cached [exactly k] group per distinct k *)
-  let k_guards = Hashtbl.create 8 in
-  let k_guard k =
-    guard_group k_guards k cnf ~flush (fun g ->
-        Cardinality.exactly ~guard:g cnf (Array.to_list (Array.map Lit.pos xvars)) k)
-  in
-  (* cached [≤ f] bounds over the error literals, one guard per rung *)
-  let e_guards = Hashtbl.create 4 in
-  let e_guard ev f =
-    guard_group e_guards f cnf ~flush (fun g ->
-        Cardinality.at_most ~guard:g cnf (Array.to_list (Array.map Lit.pos ev)) f)
-  in
-  let other_guards table active acc =
-    Hashtbl.fold
-      (fun _ g acc -> if Lit.equal g active then acc else Lit.negate g :: acc)
-      table acc
+  (* the counters come after the skeleton, built the same way on the
+     warm and cold paths, and only once an entry reaches the solver: an
+     empty batch, or one answered entirely by the rank check at
+     [repair = 0], builds none. The cycle counter reaches one past the
+     largest k, so [exactly k] is the window [{≥ k, ¬(≥ k+1)}]; the
+     error counter reaches one past the budget, so rung [f] is
+     [¬(≥ f+1)]. *)
+  let counters =
+    lazy
+      (let lits vars = Array.to_list (Array.map Lit.pos vars) in
+       (* entries with k > m never reach the solver: leaving them out
+          keeps k_max + 1 from overflowing on a hostile k *)
+       let k_max =
+         List.fold_left
+           (fun acc e ->
+             let k = Log_entry.k e in
+             if k <= m then max acc k else acc)
+           0 entries
+       in
+       let cycles = Cardinality.counter cnf (lits xvars) (k_max + 1) in
+       let errors =
+         Option.map (fun ev -> Cardinality.counter cnf (lits ev) (repair + 1)) evars
+       in
+       flush ();
+       (cycles, errors))
   in
   List.map
     (fun entry ->
@@ -780,37 +766,31 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
          per entry is the augmentation [A | TP], so the rank refutation
          must run per entry — refuted entries cost zero solver work,
          and a refuted entry without a repair budget is quarantined on
-         the spot *)
+         the spot, as is one claiming more changes than cycles *)
       let refuted = presolve && Presolve.refutes_with (Lazy.force shared) entry in
-      if refuted && repair = 0 then (`Unsat, Quarantined, Solver.zero_stats)
+      let k = Log_entry.k entry in
+      if (refuted && repair = 0) || k > m then
+        (`Unsat, Quarantined, Solver.zero_stats)
       else
+        let cycles, errors = Lazy.force counters in
         let tp = Log_entry.tp entry in
-        let active = k_guard (Log_entry.k entry) in
         let base =
-          active :: List.init b (fun j -> Lit.make pvars.(j) (Bitvec.get tp j))
+          Cardinality.within cycles ~lo:k ~hi:k
+          @ List.init b (fun j -> Lit.make pvars.(j) (Bitvec.get tp j))
         in
         let before = Solver.stats solver in
-        (* the budget ladder: rung f = 0 is the clean solve (all err_j
-           assumed false), rung f > 0 relaxes to ≤ f error bits; first
-           SAT wins with minimal flip weight since every lower rung
-           already came back UNSAT *)
+        (* the budget ladder: rung f = 0 is the clean solve (no error
+           bit set), rung f > 0 relaxes to ≤ f error bits; first SAT
+           wins with minimal flip weight since every lower rung already
+           came back UNSAT *)
         let rec climb f =
           if f > repair then (`Unsat, Quarantined)
           else if f = 0 && refuted then climb 1
           else begin
-            let err_assumptions =
-              match evars with
-              | None -> []
-              | Some ev ->
-                  if f = 0 then
-                    Array.to_list (Array.map (fun v -> Lit.make v false) ev)
-                    @ other_guards e_guards active []
-                  else
-                    let g = e_guard ev f in
-                    g :: other_guards e_guards g []
-            in
             let assumptions =
-              base @ err_assumptions @ other_guards k_guards active []
+              match errors with
+              | None -> base
+              | Some c -> base @ Cardinality.within c ~lo:0 ~hi:f
             in
             match Solver.solve ?conflict_budget ~assumptions solver with
             | Sat ->

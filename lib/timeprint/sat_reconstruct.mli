@@ -154,8 +154,10 @@ val pp_check_result : Format.formatter -> check_result -> unit
     relaxed to [A·x = TP ⊕ err] with one error literal per timeprint
     bit, the cardinality constraint to a [±d] window around [k], and
     budget splits [(f, d)] are tried in increasing total weight
-    [f + d] under Sinz [≤] bounds, so the first satisfiable split is a
-    provably lightest repair. *)
+    [f + d], so the first satisfiable split is a provably lightest
+    repair. Each split is a set of assumptions on two shared counters
+    ({!Tp_sat.Cardinality.counter}): [¬(≥ f+1)] on the error literals
+    and [{≥ k−d, ¬(≥ k+d+1)}] on the cycle literals. *)
 
 type repair = {
   r_signal : Signal.t;  (** the reconstruction under the repair *)
@@ -179,12 +181,14 @@ val solve_repair :
     (default [0]). With [max_flips = 0] and [k_slack = 0] this is
     {!first} in different clothing: [`Clean] iff a witness exists. The
     rank refutation disposes of every zero-flip split for free, so
-    clean entries pay nothing for the repair machinery. Raises
+    clean entries pay nothing for the repair machinery. A split with
+    [k − d > m] is UNSAT without a solve, so an entry whose
+    [k − k_slack] exceeds [m] is [`Unrepairable]. Raises
     [Invalid_argument] on negative budgets.
 
     Also returns the solver work across all budget splits; [None] when
-    the rank refutation answered without a solver ([max_flips = 0] on
-    an inconsistent system). *)
+    no solver ran: the rank refutation answered ([max_flips = 0] on an
+    inconsistent system), or [k − k_slack] exceeds [m]. *)
 
 type health =
   | Clean  (** reconstructed as logged *)
@@ -305,8 +309,14 @@ val batch :
     entry pins [p_j] to its timeprint bit via assumptions — so conflict
     clauses learned about [A] (and about the [assume] properties, which
     must hold in every trace-cycle) transfer across entries. The
-    [exactly-k] cardinality constraint is built once per distinct [k],
-    under a guard assumed for the entries that need it. When [presolve]
+    cardinality is one {!Tp_sat.Cardinality.counter} over the cycle
+    literals, reaching one past the largest [k] of the batch: an entry
+    asks for [exactly k] by assuming the counter outputs
+    [{≥ k, ¬(≥ k+1)}]. The counters are built when the first entry
+    reaches the solver, so an empty batch, or one the rank check
+    answers entirely at [repair = 0], builds none. An entry with
+    [k > m] is [(`Unsat, Quarantined)] without a solve, at every
+    repair budget. When [presolve]
     (default [true]), each entry first takes the F₂ rank check
     ({!Presolve.refutes}): an inconsistent [A | TP] is answered
     [`Unsat] with an all-zero stats record and no solver call. Returns,
@@ -317,9 +327,9 @@ val batch :
     [repair] (default [0], clamped to [b]) is the per-entry flip
     budget: the shared XOR rows additionally close on [b] error
     variables, and each entry climbs the ladder [f = 0, 1, .., repair]
-    — the [f = 0] rung pins every error bit false (exactly the clean
-    solve), each higher rung assumes a cached guarded [≤ f] Sinz bound
-    — so the first SAT rung is the entry's minimal flip weight
+    — rung [f] assumes [¬(≥ f+1)] on a second counter over the error
+    literals, so rung 0 is exactly the clean solve — and the first SAT
+    rung is the entry's minimal flip weight
     ([Repaired f]). An entry whose ladder runs out (or whose budget is
     exhausted) is [Quarantined] and the batch moves on; with
     [repair = 0] the health column is just [Clean]/[Quarantined].

@@ -2,7 +2,8 @@
 # Exit-code contract of the log-ingestion commands:
 #   0 clean, 2 quarantined entries, 3 malformed log lines (3 wins when
 #   both apply — a skipped line shifts every later index, so the log
-#   must not be trusted). Also: a broken --pack warns and runs cold.
+#   must not be trusted). Also: a broken --pack warns and runs cold,
+#   and a malformed query is a bad request (exit 1).
 # Usage: cli_exit_codes.sh path/to/timeprint_cli.exe
 set -u
 cli="$1"
@@ -44,5 +45,24 @@ expect 0 "compile pack" $cli compile $enc pack.tpk
 head -c 20 pack.tpk >broken.tpk
 expect 0 "broken pack runs cold" $cli stream $enc --pack broken.tpk clean.log
 grep -q "running cold" err.txt || fail "broken pack: missing cold-run warning"
+
+# a timeprint narrower than the encoding's b is a bad request (exit 1)
+# on every query command, never an uncaught exception
+for cmd in reconstruct check "dimacs --pulse"; do
+  expect 1 "$cmd: timeprint width" $cli $cmd -m 16 --tp 0000000100 -k 4
+  grep -q "^error: code=bad-request msg=" err.txt ||
+    fail "$cmd: timeprint width: missing bad-request line"
+done
+
+# a k no log can hold (max_int) is quarantined next to an entry routed
+# to SAT (k = 7, past the MITM range) at every budget, and is
+# unrepairable as a query: no counter bound wraps round
+printf '01111111 7\n01111111 4611686018427387903\n' >hostile.log
+for r in 0 1; do
+  expect 2 "hostile k, repair $r" $cli stream $enc --repair $r hostile.log
+done
+expect 0 "hostile k query" $cli reconstruct $enc --tp 01111111 \
+  -k 4611686018427387903 --repair 1
+grep -q "^unrepairable" out.txt || fail "hostile k query: not unrepairable"
 
 echo "cli exit codes ok"

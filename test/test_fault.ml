@@ -315,6 +315,122 @@ let test_k_slack_repairs_counter () =
   | _ -> Alcotest.fail "without slack the perturbed counter is unrepairable"
 
 (* ------------------------------------------------------------------ *)
+(* The shared cardinality counters at their edges                       *)
+
+(* One m = 8 design and four entries at the counters' edges: the empty
+   signal (k = 0), an entry claiming more changes than there are cycles
+   (its timeprint is a real one, so only the cardinality refutes it),
+   the all-ones signal (k = m, routed to SAT by the stream), and the
+   same timeprint at k = max_int, which a client may log: no counter
+   bound may wrap round on it. *)
+let edge_log () =
+  let m = 8 in
+  let e = Encoding.random_constrained_auto ~seed:5 ~m () in
+  let zero = Signal.create m and ones = Signal.of_changes ~m (List.init m Fun.id) in
+  let tp = Log_entry.tp (Logger.abstract e (Signal.of_changes ~m [ 1; 4 ])) in
+  ( e,
+    zero,
+    ones,
+    [
+      Logger.abstract e zero;
+      Log_entry.make ~tp ~k:(m + 1);
+      Logger.abstract e ones;
+      Log_entry.make ~tp ~k:max_int;
+    ] )
+
+let test_counter_edges () =
+  let e, zero, ones, log = edge_log () in
+  List.iter
+    (fun repair ->
+      let name what = Printf.sprintf "repair %d: %s" repair what in
+      (match Sat_reconstruct.batch ~repair e log with
+      | [
+       (`Signal s0, Clean, _);
+       (`Unsat, Quarantined, st);
+       (`Signal sm, Clean, _);
+       (`Unsat, Quarantined, st');
+      ] ->
+          Alcotest.check signal (name "batch k = 0") zero s0;
+          Alcotest.check signal (name "batch k = m") ones sm;
+          Alcotest.(check bool)
+            (name "batch k > m never reaches the solver")
+            true
+            (st = Tp_sat.Solver.zero_stats && st' = Tp_sat.Solver.zero_stats)
+      | _ -> Alcotest.fail (name "batch verdicts"));
+      match Plan.run_stream ~repair e log with
+      | [
+       (`Signal s0, Clean, _);
+       (`Unsat, Quarantined, _);
+       (`Signal sm, Clean, _);
+       (`Unsat, Quarantined, _);
+      ] ->
+          Alcotest.check signal (name "stream k = 0") zero s0;
+          Alcotest.check signal (name "stream k = m") ones sm
+      | _ -> Alcotest.fail (name "stream verdicts"))
+    [ 0; 1; 2 ]
+
+let test_repair_k_beyond_m () =
+  let m = 8 in
+  let e = Encoding.random_constrained_auto ~seed:5 ~m () in
+  let ones = Signal.of_changes ~m (List.init m Fun.id) in
+  let tp = Log_entry.tp (Logger.abstract e ones) in
+  (* k − k_slack > m: no split can hold, whatever the flip budget *)
+  (match plan_repair ~max_flips:1 ~k_slack:1 e (Log_entry.make ~tp ~k:(m + 2)) with
+  | `Unrepairable -> ()
+  | _ -> Alcotest.fail "k - k_slack > m must be unrepairable");
+  (match plan_repair ~max_flips:1 e (Log_entry.make ~tp ~k:max_int) with
+  | `Unrepairable -> ()
+  | _ -> Alcotest.fail "k = max_int must be unrepairable");
+  (* at k − k_slack = m the all-ones signal explains the entry *)
+  (match plan_repair ~max_flips:1 ~k_slack:1 e (Log_entry.make ~tp ~k:(m + 1)) with
+  | `Repaired r ->
+      Alcotest.(check (list int)) "no flips" [] r.Sat_reconstruct.r_flips;
+      Alcotest.(check int) "counter off by -1" (-1) r.r_k_delta;
+      Alcotest.check signal "all ones" ones r.r_signal
+  | _ -> Alcotest.fail "k - k_slack = m is repairable");
+  (* a k_slack of max_int: the all-ones entry is clean, and at
+     k = max_int the lightest deviation asks for count m, which only
+     the all-ones signal has *)
+  (match plan_repair ~max_flips:1 ~k_slack:max_int e (Logger.abstract e ones) with
+  | `Clean s -> Alcotest.check signal "k_slack = max_int, clean" ones s
+  | _ -> Alcotest.fail "k_slack = max_int on a clean entry");
+  match plan_repair ~max_flips:0 ~k_slack:max_int e (Log_entry.make ~tp ~k:max_int) with
+  | `Repaired r ->
+      Alcotest.(check (list int)) "k = k_slack = max_int: no flips" []
+        r.Sat_reconstruct.r_flips;
+      Alcotest.check signal "k = k_slack = max_int: all ones" ones r.r_signal
+  | _ -> Alcotest.fail "k = k_slack = max_int is repairable"
+
+(* Work count of a repair batch: a seeded m = 32 log whose k cycles
+   through 2..8, every fourth entry with one timeprint bit flipped, run
+   through [batch ~repair:1]. Counts are deterministic, so the bound is
+   exact. One guarded Sinz group per distinct k, with its auxiliaries
+   pinned false while inactive, cost 737_846 propagations on this log;
+   one shared counter with assumed outputs costs about a sixth of that.
+   The bound is half the guarded figure: a per-bound group coming back
+   fails it. *)
+let test_repair_batch_propagations () =
+  let m = 32 in
+  let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m () in
+  let rng = Random.State.make [| 18 |] in
+  let log =
+    List.init 32 (fun i ->
+        let en = Logger.abstract e (Signal.random rng ~m ~k:(2 + (i mod 7))) in
+        if i mod 4 = 3 then
+          Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ]
+        else en)
+  in
+  let propagations =
+    List.fold_left
+      (fun n (_, _, (st : Tp_sat.Solver.stats)) -> n + st.propagations)
+      0
+      (Sat_reconstruct.batch ~repair:1 e log)
+  in
+  let bound = 737_846 / 2 in
+  if propagations > bound then
+    Alcotest.failf "repair batch: %d propagations, bound %d" propagations bound
+
+(* ------------------------------------------------------------------ *)
 (* Regression: counting a repaired entry under an exhausted budget      *)
 
 let test_count_lower_bound_on_exhausted_budget () =
@@ -374,6 +490,15 @@ let () =
             test_plan_reports_refuted_but_repairable;
           Alcotest.test_case "k-slack repairs a perturbed counter" `Quick
             test_k_slack_repairs_counter;
+        ] );
+      ( "shared-counter",
+        [
+          Alcotest.test_case "k = 0, k = m answered, k > m quarantined" `Quick
+            test_counter_edges;
+          Alcotest.test_case "k - k_slack > m is unrepairable" `Quick
+            test_repair_k_beyond_m;
+          Alcotest.test_case "repair batch propagation count" `Quick
+            test_repair_batch_propagations;
         ] );
       ( "count-regression",
         [

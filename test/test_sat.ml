@@ -410,6 +410,118 @@ let test_sinz_equals_pairwise () =
     [ (4, 2); (5, 3); (6, 1) ]
 
 (* ------------------------------------------------------------------ *)
+(* Assumable counter                                                   *)
+
+let lit_true s li = Solver.value s (Lit.var li) = Lit.sign li
+
+(* [n ≤ 10] counter inputs, one literal of random polarity per fresh
+   variable, with the counter's registers numbered after them *)
+let counter_over signs bound =
+  let p = Cnf.create () in
+  let lits = List.map (fun sign -> l sign (Cnf.new_var p)) signs in
+  (p, lits, Cardinality.counter p lits bound)
+
+let prop_counter_outputs =
+  QCheck.Test.make ~name:"counter output >= j is popcount >= j" ~count:200
+    QCheck.(
+      make
+        ~print:Print.(pair (list bool) (list bool))
+        Gen.(
+          int_range 0 10 >>= fun n -> pair (list_repeat n bool) (list_repeat n bool)))
+    (fun (signs, truth) ->
+      let n = List.length signs in
+      let count = List.length (List.filter Fun.id truth) in
+      List.for_all
+        (fun bound ->
+          let p, lits, c = counter_over signs bound in
+          let s = Solver.of_cnf p in
+          let assumptions =
+            List.map2 (fun li v -> if v then li else Lit.negate li) lits truth
+          in
+          (* the bound is clamped to n: a counter over no inputs has no
+             registers, hence no outputs *)
+          let outputs = min bound n in
+          Solver.solve ~assumptions s = Sat
+          && List.for_all
+               (fun j -> lit_true s (Cardinality.at_least_lit c j) = (count >= j))
+               (List.init outputs (fun j -> j + 1)))
+        (List.init (n + 2) Fun.id))
+
+(* each input is fixed true (1), fixed false (0) or left free (2); a
+   window (lo, hi) is satisfiable exactly when some completion of the
+   free inputs has a count in it *)
+let prop_counter_windows =
+  QCheck.Test.make ~name:"counter window is SAT iff a completion fits" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(quad (list bool) (list int) int int)
+        Gen.(
+          int_range 0 10 >>= fun n ->
+          quad (list_repeat n bool)
+            (list_repeat n (int_bound 2))
+            (int_range (-1) (n + 1))
+            (int_range (-1) (n + 1))))
+    (fun (signs, fix, lo, hi) ->
+      let n = List.length signs in
+      let fixed_true = List.length (List.filter (( = ) 1) fix) in
+      let free = List.length (List.filter (( = ) 2) fix) in
+      let fits = max lo fixed_true <= min hi (fixed_true + free) in
+      let empty = lo > hi || lo > n || hi < 0 in
+      (* the smallest bound that can express the window, up to n + 1 *)
+      let needed =
+        max
+          (if lo >= 1 && lo <= n then lo else 0)
+          (if hi >= 0 && hi < n then hi + 1 else 0)
+      in
+      List.for_all
+        (fun bound ->
+          let p, lits, c = counter_over signs bound in
+          match Cardinality.within c ~lo ~hi with
+          | exception Invalid_argument _ when empty -> not fits
+          | window -> (
+              let pins =
+                List.concat
+                  (List.map2
+                     (fun li f ->
+                       if f = 2 then [] else [ (if f = 1 then li else Lit.negate li) ])
+                     lits fix)
+              in
+              let s = Solver.of_cnf p in
+              match Solver.solve ~assumptions:(pins @ window) s with
+              | Sat ->
+                  let count = List.length (List.filter (lit_true s) lits) in
+                  fits && lo <= count && count <= hi
+              | Unsat -> not fits
+              | Unknown -> false))
+        (List.init (n + 2 - needed) (fun i -> needed + i)))
+
+let test_counter_edges () =
+  let p, _, c = counter_over [ true; false; true ] 2 in
+  Alcotest.(check int) "n × bound registers" (3 + (3 * 2)) (Cnf.nvars p);
+  Alcotest.check_raises "output beyond the bound"
+    (Invalid_argument "Cardinality.at_least_lit: beyond the counter's bound")
+    (fun () -> ignore (Cardinality.at_least_lit c 3));
+  Alcotest.check_raises "window beyond the bound"
+    (Invalid_argument "Cardinality.at_least_lit: beyond the counter's bound")
+    (fun () -> ignore (Cardinality.within c ~lo:3 ~hi:3));
+  let no_count = Invalid_argument "Cardinality.within: no count lies in the window" in
+  Alcotest.check_raises "no count above n" no_count (fun () ->
+      ignore (Cardinality.within c ~lo:4 ~hi:9));
+  Alcotest.check_raises "empty window" no_count (fun () ->
+      ignore (Cardinality.within c ~lo:2 ~hi:1));
+  Alcotest.check_raises "no count below 0" no_count (fun () ->
+      ignore (Cardinality.within c ~lo:(-3) ~hi:(-1)));
+  Alcotest.(check bool) "the full range needs no assumption" true
+    (Cardinality.within c ~lo:0 ~hi:3 = []);
+  let p, _, c = counter_over [ true; false; true ] max_int in
+  Alcotest.(check int) "a bound past n is clamped to n" (3 + (3 * 3)) (Cnf.nvars p);
+  Alcotest.(check bool) "the top output exists" true
+    (Cardinality.within c ~lo:3 ~hi:3 = [ Cardinality.at_least_lit c 3 ]);
+  Alcotest.check_raises "negative bound"
+    (Invalid_argument "Cardinality.counter: negative bound") (fun () ->
+      ignore (counter_over [ true ] (-1)))
+
+(* ------------------------------------------------------------------ *)
 (* AllSAT                                                              *)
 
 let test_allsat_exhaustive_vs_brute () =
@@ -1049,6 +1161,9 @@ let () =
           Alcotest.test_case "at-least model count" `Quick test_at_least_model_count;
           Alcotest.test_case "infeasible bound" `Quick test_cardinality_infeasible;
           Alcotest.test_case "sinz = pairwise" `Quick test_sinz_equals_pairwise;
+          Alcotest.test_case "counter edges" `Quick test_counter_edges;
+          QCheck_alcotest.to_alcotest prop_counter_outputs;
+          QCheck_alcotest.to_alcotest prop_counter_windows;
         ] );
       ( "allsat",
         [

@@ -69,7 +69,7 @@ let prop_vec_model =
 
 let test_heap_extracts_max () =
   let scores = [| 3.; 1.; 4.; 1.5; 9.; 2.; 6. |] in
-  let h = Heap.create (Array.length scores) ~score:(fun i -> scores.(i)) in
+  let h = Heap.create (Array.length scores) ~score:scores in
   Array.iteri (fun i _ -> Heap.insert h i) scores;
   let order = List.init (Array.length scores) (fun _ -> Heap.remove_max h) in
   let sorted =
@@ -83,14 +83,14 @@ let test_heap_extracts_max () =
 
 let test_heap_update_after_bump () =
   let scores = [| 1.; 2.; 3. |] in
-  let h = Heap.create 3 ~score:(fun i -> scores.(i)) in
+  let h = Heap.create 3 ~score:scores in
   List.iter (Heap.insert h) [ 0; 1; 2 ];
   scores.(0) <- 10.;
   Heap.update h 0;
   Alcotest.(check int) "bumped element first" 0 (Heap.remove_max h)
 
 let test_heap_duplicate_insert () =
-  let h = Heap.create 4 ~score:float_of_int in
+  let h = Heap.create 4 ~score:(Array.init 4 float_of_int) in
   Heap.insert h 2;
   Heap.insert h 2;
   Alcotest.(check int) "no duplicates" 1 (Heap.size h);
@@ -99,10 +99,9 @@ let test_heap_duplicate_insert () =
   Alcotest.(check bool) "gone" false (Heap.mem h 2)
 
 let test_heap_grow () =
-  let scores = ref (Array.make 4 0.) in
-  let h = Heap.create 4 ~score:(fun i -> !scores.(i)) in
-  scores := Array.init 100 float_of_int;
+  let h = Heap.create 4 ~score:(Array.make 4 0.) in
   Heap.grow h 100;
+  Heap.set_score h (Array.init 100 float_of_int);
   for i = 0 to 99 do
     Heap.insert h i
   done;
@@ -113,7 +112,7 @@ let prop_heap_sorts =
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_bound 1000))
     (fun xs ->
       let scores = Array.of_list (List.map float_of_int xs) in
-      let h = Heap.create (Array.length scores) ~score:(fun i -> scores.(i)) in
+      let h = Heap.create (Array.length scores) ~score:scores in
       Array.iteri (fun i _ -> Heap.insert h i) scores;
       let drained = ref [] in
       while not (Heap.is_empty h) do
