@@ -52,18 +52,28 @@ let scheme_arg =
           "Timestamp scheme: $(b,one-hot), $(b,random), $(b,incremental) or \
            $(b,bch).")
 
+let service_error e =
+  Format.eprintf "error: %s@." (Service.error_line e);
+  exit 1
+
+(* A design the parameters cannot realize (an incremental counter that
+   runs out of b-bit values, LI timestamps that do not fit in b bits)
+   is a bad request, as the daemon's [load] reports it. *)
 let make_encoding scheme m b seed depth =
-  match scheme with
-  | `One_hot -> Encoding.one_hot ~m
-  | `Random -> (
-      match b with
-      | Some b -> Encoding.random_constrained ~depth ~seed ~m ~b ()
-      | None -> Encoding.random_constrained_auto ~depth ~seed ~m ())
-  | `Incremental -> (
-      match b with
-      | Some b -> Encoding.incremental ~depth ~m ~b ()
-      | None -> Encoding.incremental_auto ~depth ~m ())
-  | `Bch -> Encoding.bch ~m
+  try
+    match scheme with
+    | `One_hot -> Encoding.one_hot ~m
+    | `Random -> (
+        match b with
+        | Some b -> Encoding.random_constrained ~depth ~seed ~m ~b ()
+        | None -> Encoding.random_constrained_auto ~depth ~seed ~m ())
+    | `Incremental -> (
+        match b with
+        | Some b -> Encoding.incremental ~depth ~m ~b ()
+        | None -> Encoding.incremental_auto ~depth ~m ())
+    | `Bch -> Encoding.bch ~m
+  with Invalid_argument msg | Failure msg ->
+    service_error (Service.Bad_request msg)
 
 (* property flags shared by reconstruct/check/dimacs *)
 let p2_flag =
@@ -219,10 +229,6 @@ let cli_service enc pack ~warn_stale =
       ignore (Service.load svc ~name:cli_design enc)
   | None -> ignore (Service.load svc ~name:cli_design enc));
   svc
-
-let service_error e =
-  Format.eprintf "error: %s@." (Service.error_line e);
-  exit 1
 
 (* A query constructor rejects inconsistent input with
    [Invalid_argument]: report it as the service does, a bad request

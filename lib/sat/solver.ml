@@ -1131,7 +1131,12 @@ let cleanup_pass s =
               changed := true
             end
             else if !nfalse = 0 then begin
-              if sz = 1 then begin
+              if sz = 0 then begin
+                (* a stored empty clause: the formula is UNSAT *)
+                s.ok <- false;
+                proof_add s []
+              end
+              else if sz = 1 then begin
                 (* a stored unit: fold it into the trail; keep the fact
                    in the proof DB (no delete line) — later RUP steps
                    may hang off it *)
@@ -1214,7 +1219,7 @@ let subsume_pass s =
     for ci = 0 to n - 1 do
       let c = crs.(ci) in
       let sz = Arena.size a c in
-      if (not (Arena.deleted a c)) && sz <= max_subsumer && sz > 0 then begin
+      if s.ok && (not (Arena.deleted a c)) && sz <= max_subsumer && sz > 0 then begin
         (* walk the occurrence list of c's rarest variable *)
         let best = ref (Lit.var (Arena.lit a c 0)) in
         for i = 1 to sz - 1 do
@@ -1269,9 +1274,17 @@ let subsume_pass s =
               else if !neg_at >= 0 then begin
                 let old = Array.to_list (Arena.lits a d) in
                 Arena.remove_lit_at a d !neg_at;
-                proof_add s (Array.to_list (Arena.lits a d));
-                proof_delete s old;
-                s.n_strengthened <- s.n_strengthened + 1
+                s.n_strengthened <- s.n_strengthened + 1;
+                if Arena.size a d = 0 then begin
+                  (* a unit resolved against its negation: the empty
+                     resolvent refutes the formula *)
+                  s.ok <- false;
+                  proof_add s []
+                end
+                else begin
+                  proof_add s (Array.to_list (Arena.lits a d));
+                  proof_delete s old
+                end
               end
             end)
           occ.(!best)
@@ -1477,14 +1490,15 @@ let xor_recover_pass s =
       match Xor_simp.reduce ~extract_aliases:false (List.rev !rows) with
       | `Unsat -> s.ok <- false
       | `Reduced r ->
+          (* only the unguarded rows are replaced: the guarded ones
+             keep their watches, which propagation left valid at the
+             root. Re-attaching them through [resurrect_xor] would
+             force a one-free-variable row whatever its guard says. *)
           Vec.clear s.xors;
-          Array.iter Vec.clear s.xwatches;
-          List.iter
-            (fun xc ->
-              xc.xcovered <- false;
-              Vec.push s.xors xc;
-              if s.ok then resurrect_xor s xc)
-            (List.rev !guarded);
+          Array.iter
+            (Vec.filter_in_place (fun xc -> xc.xguard <> None))
+            s.xwatches;
+          List.iter (Vec.push s.xors) (List.rev !guarded);
           List.iter
             (fun (v, b) ->
               let l = Lit.make v b in

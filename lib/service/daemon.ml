@@ -301,12 +301,22 @@ let serve_connection svc fd =
         loop ()
   in
   (* A read or write error (a client that hung up mid-response, with
-     SIGPIPE ignored) ends this connection only. Closing through [oc]
-     closes the descriptor and drops the channel's unsent bytes with
-     it, so nothing can later be flushed into a reused descriptor. *)
+     SIGPIPE ignored), or any other failure while answering one
+     request, ends this connection only: the daemon serves every
+     tenant, so only [shutdown] may end it. Admission tickets are
+     released on the way out ([Admission.with_ticket]). Closing
+     through [oc] closes the descriptor and drops the channel's unsent
+     bytes with it, so nothing can later be flushed into a reused
+     descriptor. *)
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> try loop () with Sys_error _ -> ())
+    (fun () ->
+      try loop () with
+      | Shutdown_requested -> raise Shutdown_requested
+      | Sys_error _ -> ()
+      | e ->
+          Printf.eprintf "timeprintd: connection ended by %s\n%!"
+            (Printexc.to_string e))
 
 let run ?(service : Service.t option) config =
   let svc =

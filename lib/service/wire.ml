@@ -109,20 +109,28 @@ let encoding_of_fields fs =
   in
   let* seed = int_field fs "seed" ~default:0x7155 in
   let* depth = int_field fs "depth" ~default:4 in
-  match Option.value (get fs "scheme") ~default:"random" with
-  | "one-hot" -> Ok (Encoding.one_hot ~m)
-  | "random" ->
-      Ok
-        (match b with
-        | Some b -> Encoding.random_constrained ~depth ~seed ~m ~b ()
-        | None -> Encoding.random_constrained_auto ~depth ~seed ~m ())
-  | "incremental" ->
-      Ok
-        (match b with
-        | Some b -> Encoding.incremental ~depth ~m ~b ()
-        | None -> Encoding.incremental_auto ~depth ~m ())
-  | "bch" -> Ok (Encoding.bch ~m)
-  | s -> Error (Printf.sprintf "unknown scheme=%s" s)
+  let build () =
+    match Option.value (get fs "scheme") ~default:"random" with
+    | "one-hot" -> Ok (Encoding.one_hot ~m)
+    | "random" ->
+        Ok
+          (match b with
+          | Some b -> Encoding.random_constrained ~depth ~seed ~m ~b ()
+          | None -> Encoding.random_constrained_auto ~depth ~seed ~m ())
+    | "incremental" ->
+        Ok
+          (match b with
+          | Some b -> Encoding.incremental ~depth ~m ~b ()
+          | None -> Encoding.incremental_auto ~depth ~m ())
+    | "bch" -> Ok (Encoding.bch ~m)
+    | s -> Error (Printf.sprintf "unknown scheme=%s" s)
+  in
+  (* a design the parameters cannot realize (an incremental counter
+     that runs out of b-bit values, LI timestamps that do not fit in b
+     bits) is the client's error, not the daemon's *)
+  match build () with
+  | r -> r
+  | exception (Invalid_argument msg | Failure msg) -> Error msg
 
 let entry_of_fields fs =
   let* tp = req fs "tp" in

@@ -55,6 +55,15 @@ let feasible enc ~k =
   k >= 0
   && (k <= 4 || (k <= 6 && triples_feasible (Encoding.m enc)))
 
+(* log₂ of the sorted-meet work: C(m, ⌊k/2⌋) probes, each a binary
+   search over the C(m, ⌈k/2⌉)-entry half table. *)
+let cost_bits ~m ~k =
+  let lg x = log x /. log 2. in
+  if k <= 2 then lg (float_of_int (max 1 m))
+  else
+    Signal.log2_choose m (k / 2)
+    +. lg (max 1. (Signal.log2_choose m ((k + 1) / 2)))
+
 (* Stable LSD radix sort of the parallel (keys, pays) arrays by key,
    11-bit digits. Comparison sorts lose here: a comparator call (even
    [Array.sort]'s specialized int path) costs more per element than a

@@ -14,7 +14,7 @@
 
     This is practical exactly in the regime the paper's Table 1
     stresses (small k), serves as a third independent oracle next to
-    {!Reconstruct} (SAT) and {!Linear_reconstruct} (coset enumeration),
+    {!Sat_reconstruct} (SAT) and {!Linear_reconstruct} (coset enumeration),
     and is the natural engine behind the LI-d guarantee: with an LI-4
     encoding and [k ≤ 2], the result is provably a singleton. *)
 
@@ -26,6 +26,14 @@ val feasible : Encoding.t -> k:int -> bool
     always for [k ≤ 4]; for [k ∈ {5, 6}] only when the triple table
     fits the materialization cap ([C(m,3) ≤ 2²³], m ≲ 368). The planner
     routes infeasible instances to SAT. *)
+
+val cost_bits : m:int -> k:int -> float
+(** The meet's price for one lookup, in the planner's cost bits (log₂
+    of elementary steps): [log₂ m] for [k ≤ 2], otherwise
+    [log₂ (C(m,⌊k/2⌋) · log₂ C(m,⌈k/2⌉))] — probes times binary-search
+    depth. The planner ({!Engine.mitm}) and the repair ladder of
+    {!Sat_reconstruct.batch} both compare it against
+    {!Sat_reconstruct.cost_baseline}. *)
 
 type table
 (** The meet-in-the-middle half-sum tables: per-index keys plus the

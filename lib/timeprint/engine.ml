@@ -143,14 +143,14 @@ let sat =
   {
     name = "sat";
     capable = (fun _ _ -> Ok ());
-    (* no clean analytic model for CDCL work; a flat baseline places
-       SAT as the fallback once the exact engines price themselves out.
-       Repair adds a solve per budget split on top of the baseline *)
+    (* the flat SAT baseline ([Sat_reconstruct.cost_baseline]); repair
+       adds a solve per budget split on top of it *)
     cost_bits =
       (fun _ q ->
         match q.answer with
-        | Query.Repair { max_flips; _ } -> 20. +. float_of_int max_flips
-        | _ -> 20.);
+        | Query.Repair { max_flips; _ } ->
+            Sat_reconstruct.cost_baseline +. float_of_int max_flips
+        | _ -> Sat_reconstruct.cost_baseline);
     run =
       (fun _ctx q ->
         let pb = sat_problem q in
@@ -239,18 +239,8 @@ let linear =
 (* ------------------------------------------------------------------ *)
 (* Meet-in-the-middle adapter *)
 
-(* Baseline SAT price (see [sat.cost_bits] above): the stream fast
-   path and the planner both compare exact-engine estimates to it. *)
-let sat_cost_baseline = 20.
-
-(* log₂ of the sorted-meet work: C(m, ⌊k/2⌋) probes, each a binary
-   search over the C(m, ⌈k/2⌉)-entry half table. *)
-let mitm_cost_bits ~m ~k =
-  let lg x = log x /. log 2. in
-  if k <= 2 then lg (float_of_int (max 1 m))
-  else
-    Signal.log2_choose m (k / 2)
-    +. lg (max 1. (Signal.log2_choose m ((k + 1) / 2)))
+let sat_cost_baseline = Sat_reconstruct.cost_baseline
+let mitm_cost_bits = Combinatorial_reconstruct.cost_bits
 
 let mitm =
   {

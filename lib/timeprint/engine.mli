@@ -59,13 +59,12 @@ val context : ?rank:int -> ?table:Combinatorial_reconstruct.table Lazy.t -> Quer
     tables (from a pack or a session) for the same encoding. *)
 
 val sat_cost_baseline : float
-(** The flat [cost_bits] the SAT adapter reports for non-repair
-    queries; exact engines price themselves against it. *)
+(** {!Sat_reconstruct.cost_baseline}: the flat [cost_bits] the SAT
+    adapter reports for non-repair queries. *)
 
 val mitm_cost_bits : m:int -> k:int -> float
-(** The MITM adapter's cost model: [log₂ m] for [k ≤ 2], otherwise
-    [log₂ (C(m,⌊k/2⌋) · log₂ C(m,⌈k/2⌉))] — probes times binary-search
-    depth. Exposed for the stream fast-path gate. *)
+(** {!Combinatorial_reconstruct.cost_bits}: the MITM adapter's cost
+    model. *)
 
 val refuted_outcome : Query.t -> outcome
 (** The answer to a query whose entry the presolve rank check refuted:

@@ -368,14 +368,10 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
      per design (from a pack on a hit, lazily memoized otherwise) *)
   let table = s.ses_table in
   let warm = s.ses_warm in
-  let m = Encoding.m encoding in
-  (* which entries take the MITM fast path: any supported-and-feasible
-     k ≤ 4, and k ∈ {5, 6} only when the sorted-meet estimate still
-     beats a warm SAT solve *)
-  let mitm_fast k =
-    Combinatorial_reconstruct.feasible encoding ~k
-    && (k <= 4 || Engine.mitm_cost_bits ~m ~k < Engine.sat_cost_baseline)
-  in
+  (* which entries take the MITM fast path: the repair ladder's rung-0
+     price — any feasible k ≤ 4, and k ∈ {5, 6} only when the
+     sorted-meet estimate still beats a warm SAT solve *)
+  let mitm_fast k = Sat_reconstruct.meet_wins encoding ~k ~flips:0 in
   (* encoding-only half of the rank check: one reduction for the whole
      stream (and, with [jobs], the read-only copy every chunk worker
      shares) *)

@@ -217,16 +217,18 @@ val run_stream :
 (** Planned witness reconstruction of a log stream, in order: each
     entry is rank-refuted for free when inconsistent, answered by MITM
     when it is feasible ([k ≤ 6], triples memory-gated), cheaper than
-    SAT and no properties are assumed, and the rest share one
-    incremental parity-select solver ({!Sat_reconstruct.batch} — the
-    stream capability the planner exploits). The tag says which path
-    answered each entry.
+    SAT ({!Sat_reconstruct.meet_wins} at [flips = 0]) and no
+    properties are assumed, and the rest share one incremental
+    parity-select solver ({!Sat_reconstruct.batch} — the stream
+    capability the planner exploits). The tag says which path took
+    each entry; [`Sat st] carries the batch's solver work for it.
 
     [repair] (default [0]) is the per-entry flip budget: entries the
     fast paths cannot explain as logged — rank-refuted, or consistent
-    but with no exact-[k] witness — are routed to the batch solver's
-    repair ladder instead of being failed outright. The {!type:
-    Sat_reconstruct.health} column tags each entry [Clean],
+    but with no exact-[k] witness — are routed to the batch's repair
+    ladder instead of being failed outright. Without properties the
+    ladder answers its cheap rungs on the meet, with all-zero [st].
+    The {!type:Sat_reconstruct.health} column tags each entry [Clean],
     [Repaired w] (reconstructed after inverting [w] timeprint bits) or
     [Quarantined] (no explanation within budget — one corrupted
     trace-cycle no longer poisons the log). Raises [Invalid_argument]

@@ -634,6 +634,51 @@ let warm_of_skeleton ~m ~b cnf =
   { w_m = m; w_b = b; w_cnf = cnf; w_snapshot = Solver.snapshot solver }
 
 (* ------------------------------------------------------------------ *)
+(* Pricing the meet against SAT                                        *)
+
+(* CDCL work has no clean analytic model; a flat price places SAT as
+   the fallback once the exact engines price themselves out. *)
+let cost_baseline = 20.
+
+(* Whether [lookups = C(b, flips)] meet lookups at this k beat one SAT
+   solve. A single lookup at k ≤ 4 always does (the pair meet is
+   O(m log m)); otherwise the meet's total price must undercut the SAT
+   baseline. The planner's stream fast path asks at [flips = 0], the
+   repair ladder of [batch] at each rung. *)
+let meet_wins encoding ~k ~flips =
+  let m = Encoding.m encoding and b = Encoding.b encoding in
+  Combinatorial_reconstruct.feasible encoding ~k
+  && flips >= 0 && flips <= b
+  && ((flips = 0 && k <= 4)
+     || Signal.log2_choose b flips +. Combinatorial_reconstruct.cost_bits ~m ~k
+        < cost_baseline)
+
+(* Rung [f] of the repair ladder on the meet: the C(b, f) flip sets [F]
+   of weight f in lexicographic order, one exact lookup each on
+   [(TP ⊕ e_F, k)]. The first hit explains the entry with exactly f
+   flipped bits. *)
+let meet_rung table encoding entry f =
+  let b = Encoding.b encoding and k = Log_entry.k entry in
+  let tp = Bitvec.copy (Log_entry.tp entry) in
+  let flip j = Bitvec.set tp j (not (Bitvec.get tp j)) in
+  let rec pick lo f =
+    if f = 0 then
+      Combinatorial_reconstruct.first ~table encoding (Log_entry.make ~tp ~k)
+    else
+      let rec from j =
+        if j > b - f then None
+        else begin
+          flip j;
+          let hit = pick (j + 1) (f - 1) in
+          flip j;
+          match hit with Some _ -> hit | None -> from (j + 1)
+        end
+      in
+      from lo
+  in
+  pick 0 f
+
+(* ------------------------------------------------------------------ *)
 (* Batched reconstruction over a stream of log entries                 *)
 
 (* One solver serves every trace-cycle of a log: the timestamp matrix
@@ -653,7 +698,15 @@ let warm_of_skeleton ~m ~b cnf =
    ladder [f = 0, 1, .., e], rung [f] assuming [¬(≥ f+1)] on the error
    counter. Rung 0 is the clean solve. The first SAT rung names the
    entry's minimal flip weight ([Repaired f]); a ladder that UNSATs
-   through [e] quarantines the entry instead of poisoning the log. *)
+   through [e] quarantines the entry instead of poisoning the log.
+
+   The ladder's cheap rungs skip the solver: while [meet_wins] prices
+   rung f's C(b, f) lookups below a solve, the meet answers it
+   ([meet_rung]), and the first rung it declines hands that rung and
+   every rung above it to the solver. Both oracles are exact, so the
+   first non-empty rung is the same either way. With properties
+   assumed the whole ladder stays on SAT, as the planner's policy
+   keeps such queries off the meet. *)
 let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
     ?(repair = 0) ?shared ?warm encoding entries =
   if repair < 0 then invalid_arg "Sat_reconstruct.batch: negative repair budget";
@@ -663,6 +716,9 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
     lazy
       (match shared with Some s -> s | None -> Presolve.shared encoding)
   in
+  (* the meet's half-sum table, built on the first rung it takes; each
+     call (each parallel chunk) owns its own *)
+  let table = lazy (Combinatorial_reconstruct.pair_table encoding) in
   let m = Encoding.m encoding and b = Encoding.b encoding in
   let repair = min repair b in
   List.iter
@@ -772,45 +828,61 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
       if (refuted && repair = 0) || k > m then
         (`Unsat, Quarantined, Solver.zero_stats)
       else
-        let cycles, errors = Lazy.force counters in
-        let tp = Log_entry.tp entry in
-        let base =
-          Cardinality.within cycles ~lo:k ~hi:k
-          @ List.init b (fun j -> Lit.make pvars.(j) (Bitvec.get tp j))
-        in
-        let before = Solver.stats solver in
         (* the budget ladder: rung f = 0 is the clean solve (no error
            bit set), rung f > 0 relaxes to ≤ f error bits; first SAT
            wins with minimal flip weight since every lower rung already
-           came back UNSAT *)
-        let rec climb f =
-          if f > repair then (`Unsat, Quarantined)
-          else if f = 0 && refuted then climb 1
-          else begin
-            let assumptions =
-              match errors with
-              | None -> base
-              | Some c -> base @ Cardinality.within c ~lo:0 ~hi:f
-            in
-            match Solver.solve ?conflict_budget ~assumptions solver with
-            | Sat ->
-                let signal = signal_of_model m xvars (Solver.value solver) in
-                let weight =
-                  match evars with
-                  | None -> 0
-                  | Some ev ->
-                      Array.fold_left
-                        (fun n v -> if Solver.value solver v then n + 1 else n)
-                        0 ev
-                in
-                ( `Signal signal,
-                  if weight = 0 then Clean else Repaired weight )
-            | Unsat -> climb (f + 1)
-            | Unknown -> (`Unknown, Quarantined)
-          end
+           came back UNSAT. [solve f0] runs rungs f0 .. repair on the
+           solver. *)
+        let solve f0 =
+          let cycles, errors = Lazy.force counters in
+          let tp = Log_entry.tp entry in
+          let base =
+            Cardinality.within cycles ~lo:k ~hi:k
+            @ List.init b (fun j -> Lit.make pvars.(j) (Bitvec.get tp j))
+          in
+          let before = Solver.stats solver in
+          let rec climb f =
+            if f > repair then (`Unsat, Quarantined)
+            else if f = 0 && refuted then climb 1
+            else begin
+              let assumptions =
+                match errors with
+                | None -> base
+                | Some c -> base @ Cardinality.within c ~lo:0 ~hi:f
+              in
+              match Solver.solve ?conflict_budget ~assumptions solver with
+              | Sat ->
+                  let signal = signal_of_model m xvars (Solver.value solver) in
+                  let weight =
+                    match evars with
+                    | None -> 0
+                    | Some ev ->
+                        Array.fold_left
+                          (fun n v -> if Solver.value solver v then n + 1 else n)
+                          0 ev
+                  in
+                  ( `Signal signal,
+                    if weight = 0 then Clean else Repaired weight )
+              | Unsat -> climb (f + 1)
+              | Unknown -> (`Unknown, Quarantined)
+            end
+          in
+          let verdict, health = climb f0 in
+          (verdict, health, Solver.stats_diff ~before ~after:(Solver.stats solver))
         in
-        let verdict, health = climb 0 in
-        (verdict, health, Solver.stats_diff ~before ~after:(Solver.stats solver)))
+        (* the meet's rungs, from the bottom while it wins on price;
+           like the solver's, they skip rung 0 of a rank-refuted entry *)
+        let rec meet f =
+          if f > repair then (`Unsat, Quarantined, Solver.zero_stats)
+          else if f = 0 && refuted then meet 1
+          else if not (meet_wins encoding ~k ~flips:f) then solve f
+          else
+            match meet_rung (Lazy.force table) encoding entry f with
+            | Some s ->
+                (`Signal s, (if f = 0 then Clean else Repaired f), Solver.zero_stats)
+            | None -> meet (f + 1)
+        in
+        if repair > 0 && assume = [] then meet 0 else solve 0)
     entries
 
 (* ------------------------------------------------------------------ *)

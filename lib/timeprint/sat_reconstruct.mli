@@ -291,6 +291,22 @@ val warm_of_skeleton : m:int -> b:int -> Tp_sat.Cnf.t -> warm
     The caller is trusted on the CNF's content (design packs verify it
     with a checksum). *)
 
+val cost_baseline : float
+(** The price of one SAT solve in the planner's cost bits (log₂ of
+    elementary steps) — a flat baseline, since CDCL work has no clean
+    analytic model. The exact engines price themselves against it. *)
+
+val meet_wins : Encoding.t -> k:int -> flips:int -> bool
+(** Whether answering the [C(b, flips)] flip sets of repair rung
+    [flips] with one meet-in-the-middle lookup each
+    ({!Combinatorial_reconstruct.first}) beats one SAT solve: [k] is
+    {!Combinatorial_reconstruct.feasible}, [0 ≤ flips ≤ b], and either
+    [flips = 0 ∧ k ≤ 4] or
+    [log₂ C(b, flips) + Combinatorial_reconstruct.cost_bits ~m ~k]
+    is below {!cost_baseline}. At [flips = 0] this is the planner's
+    stream fast path ({!Plan.run_stream_emit}); above, it gates the
+    meet rungs of {!batch}'s repair ladder. *)
+
 val batch :
   ?assume:Property.t list ->
   ?presolve:bool ->
@@ -335,6 +351,22 @@ val batch :
     [repair = 0] the health column is just [Clean]/[Quarantined].
     Raises [Invalid_argument] on a timeprint width mismatch or a
     negative repair budget.
+
+    With [repair > 0] and no [assume], the ladder's lowest rungs skip
+    the solver: rung [f] runs on the meet while {!meet_wins} says its
+    [C(b, f)] lookups beat a solve — the flip sets [F] of weight [f] in
+    lexicographic order, one {!Combinatorial_reconstruct.first} lookup
+    each on [(TP ⊕ e_F, k)], the first hit being the entry's witness
+    ([Clean] at [f = 0], [Repaired f] above) with all-zero stats. The
+    first rung the meet declines, and every rung above it, runs on the
+    solver. Both oracles are exact, so the health is the same either
+    way; where a rung has several members, the meet's witness may
+    differ from the solver's. At [m = 32, b = 11] the meet takes rung 1
+    for every [k ≤ 6] and rung 2 for [k ≤ 5]; at [m = 128, b = 16],
+    rung 0 for [k ≤ 5] and rung 1 for [k ≤ 3]. At [repair = 0], or
+    with properties assumed, every rung runs on the solver. The meet's
+    half-sum table ({!Combinatorial_reconstruct.pair_table}) is built
+    on the first rung it takes and belongs to this call alone.
 
     [shared] is the encoding-only half of the rank check
     ({!Presolve.shared}); parallel callers that split a log into

@@ -6,7 +6,12 @@
 #   and a malformed query is a bad request (exit 1).
 # Usage: cli_exit_codes.sh path/to/timeprint_cli.exe
 set -u
-cli="$1"
+cli="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
+# a private working directory: dune may run the CLI scripts at once in
+# one build directory, where their scratch files would share names
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work" || exit 1
 enc="--scheme one-hot -m 8"
 fail() { echo "cli_exit_codes: $1" >&2; exit 1; }
 
@@ -53,6 +58,13 @@ for cmd in reconstruct check "dimacs --pulse"; do
   grep -q "^error: code=bad-request msg=" err.txt ||
     fail "$cmd: timeprint width: missing bad-request line"
 done
+
+# a design its parameters cannot realize (an incremental counter out of
+# 1-bit values) is a bad request too, not an internal error
+expect 1 "impossible design" $cli reconstruct --scheme incremental -m 3 -b 1 \
+  --tp 1 -k 1
+grep -q "^error: code=bad-request msg=" err.txt ||
+  fail "impossible design: missing bad-request line"
 
 # a k no log can hold (max_int) is quarantined next to an entry routed
 # to SAT (k = 7, past the MITM range) at every budget, and is

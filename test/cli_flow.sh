@@ -6,7 +6,12 @@
 #   [flow] body speaks, so a spec this script accepts works there too.
 # Usage: cli_flow.sh path/to/timeprint_cli.exe
 set -u
-cli="$1"
+cli="$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"
+# a private working directory: dune may run the CLI scripts at once in
+# one build directory, where their scratch files would share names
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work" || exit 1
 fail() { echo "cli_flow: $1" >&2; exit 1; }
 
 expect() {

@@ -401,15 +401,9 @@ let test_repair_k_beyond_m () =
       Alcotest.check signal "k = k_slack = max_int: all ones" ones r.r_signal
   | _ -> Alcotest.fail "k = k_slack = max_int is repairable"
 
-(* Work count of a repair batch: a seeded m = 32 log whose k cycles
-   through 2..8, every fourth entry with one timeprint bit flipped, run
-   through [batch ~repair:1]. Counts are deterministic, so the bound is
-   exact. One guarded Sinz group per distinct k, with its auxiliaries
-   pinned false while inactive, cost 737_846 propagations on this log;
-   one shared counter with assumed outputs costs about a sixth of that.
-   The bound is half the guarded figure: a per-bound group coming back
-   fails it. *)
-let test_repair_batch_propagations () =
+(* A seeded m = 32 log whose k cycles through 2..8, every fourth entry
+   with one timeprint bit flipped. *)
+let counter_log () =
   let m = 32 in
   let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m () in
   let rng = Random.State.make [| 18 |] in
@@ -420,15 +414,192 @@ let test_repair_batch_propagations () =
           Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ]
         else en)
   in
-  let propagations =
-    List.fold_left
-      (fun n (_, _, (st : Tp_sat.Solver.stats)) -> n + st.propagations)
-      0
-      (Sat_reconstruct.batch ~repair:1 e log)
-  in
+  (e, log)
+
+let batch_propagations results =
+  List.fold_left
+    (fun n (_, _, (st : Tp_sat.Solver.stats)) -> n + st.propagations)
+    0 results
+
+(* Work count of a repair batch: [counter_log] through
+   [batch ~repair:1]. Counts are deterministic, so the bound is exact.
+   One guarded Sinz group per distinct k, with its auxiliaries pinned
+   false while inactive, cost 737_846 propagations on this log; one
+   shared counter with assumed outputs costs about a sixth of that.
+   The bound is half the guarded figure: a per-bound group coming back
+   fails it. *)
+let test_repair_batch_propagations () =
+  let e, log = counter_log () in
+  let propagations = batch_propagations (Sat_reconstruct.batch ~repair:1 e log) in
   let bound = 737_846 / 2 in
   if propagations > bound then
     Alcotest.failf "repair batch: %d propagations, bound %d" propagations bound
+
+(* The same work count on batches whose every entry reaches the solver,
+   since the meet answers most of [counter_log]'s ladder: [counter_log]
+   at repair 0, where the batch consults no meet, exercises the cycle
+   counter; 16 one-bit-flipped k = 7, 8 entries, past the meet's reach,
+   at repair 1 exercise the error counter too. Guarded groups cost
+   676_633 and 68_414 propagations on these two batches, the shared
+   counters 79_948 and 7_166; each batch is bounded by half its guarded
+   figure. *)
+let test_solver_batch_propagations () =
+  let e, log = counter_log () in
+  let m = Encoding.m e in
+  let rng = Random.State.make [| 78 |] in
+  let high_k =
+    List.init 16 (fun i ->
+        Fault.flip_tp
+          (Logger.abstract e (Signal.random rng ~m ~k:(7 + (i mod 2))))
+          ~bits:[ Random.State.int rng (Encoding.b e) ])
+  in
+  List.iter
+    (fun (name, log, repair, guarded) ->
+      let propagations = batch_propagations (Sat_reconstruct.batch ~repair e log) in
+      if propagations > guarded / 2 then
+        Alcotest.failf "%s: %d propagations, bound %d" name propagations
+          (guarded / 2))
+    [
+      ("k = 2..8 at repair 0", log, 0, 676_633);
+      ("flipped k = 7, 8 at repair 1", high_k, 1, 68_414);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The batch ladder's meet rungs                                        *)
+
+(* Lightest TP flip weight that explains [en] with exactly its k, by
+   abstracting every signal of the m ≤ 12 cycles; [None] when no signal
+   has k changes. *)
+let brute_min_weight e en =
+  let m = Encoding.m e and tp = Log_entry.tp en and k = Log_entry.k en in
+  let best = ref None in
+  for mask = 0 to (1 lsl m) - 1 do
+    let a = Logger.abstract e (Signal.of_bitvec (Bitvec.of_int ~width:m mask)) in
+    if Log_entry.k a = k then begin
+      let w = Bitvec.popcount (Bitvec.logxor (Log_entry.tp a) tp) in
+      match !best with Some b when b <= w -> () | _ -> best := Some w
+    end
+  done;
+  !best
+
+(* A witness at flip weight w abstracts to the logged k and a timeprint
+   exactly w bits from the logged one. *)
+let witness_at e en s w =
+  let a = Logger.abstract e s in
+  Log_entry.k a = Log_entry.k en
+  && Bitvec.popcount (Bitvec.logxor (Log_entry.tp a) (Log_entry.tp en)) = w
+
+(* Random small designs and logs with 0–2 flipped TP bits, k anywhere in
+   0..m: at m ≤ 12 the meet takes every rung of k ≤ 6 and the solver
+   every rung of k ≥ 7, so both halves of the ladder answer. *)
+let prop_batch_ladder_matches_oracle =
+  QCheck.Test.make ~name:"batch ladder health = brute-force flip weight"
+    ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 19 |] in
+      let m = 6 + Random.State.int st 7 and b = 5 + Random.State.int st 5 in
+      let e = Encoding.random_constrained ~depth:2 ~seed ~m ~b () in
+      let log =
+        List.init
+          (1 + Random.State.int st 6)
+          (fun _ ->
+            let en =
+              Logger.abstract e (Signal.random st ~m ~k:(Random.State.int st (m + 1)))
+            in
+            let flips =
+              List.sort_uniq compare
+                (List.init (Random.State.int st 3) (fun _ -> Random.State.int st b))
+            in
+            Fault.flip_tp en ~bits:flips)
+      in
+      List.for_all
+        (fun repair ->
+          List.for_all2
+            (fun en (verdict, health, _) ->
+              match (brute_min_weight e en, verdict, health) with
+              | Some 0, `Signal s, Sat_reconstruct.Clean -> witness_at e en s 0
+              | Some w, `Signal s, Sat_reconstruct.Repaired w' ->
+                  w = w' && w <= repair && witness_at e en s w
+              | Some w, `Unsat, Sat_reconstruct.Quarantined -> w > repair
+              | None, `Unsat, Sat_reconstruct.Quarantined -> true
+              | _ -> false)
+            log
+            (Sat_reconstruct.batch ~repair e log))
+        [ 0; 1; 2 ])
+
+(* m = 32, b = 24, k = 6: one meet lookup (15.9 cost bits) is under the
+   SAT price, 24 of them (+4.6 bits) are not, so the meet answers rung 0
+   and the solver rung 1. The entries are one-bit-flipped k = 6 entries
+   whose rung 0 is empty, each in its own batch. *)
+let test_meet_then_sat () =
+  let m = 32 in
+  let e = Encoding.random_constrained ~depth:4 ~seed:11 ~m ~b:24 () in
+  Alcotest.(check bool) "meet takes rung 0" true
+    (Sat_reconstruct.meet_wins e ~k:6 ~flips:0);
+  Alcotest.(check bool) "solver takes rung 1" false
+    (Sat_reconstruct.meet_wins e ~k:6 ~flips:1);
+  let rng = Random.State.make [| 6 |] in
+  let rec flipped n =
+    if n = 0 then []
+    else
+      let en =
+        Fault.flip_tp
+          (Logger.abstract e (Signal.random rng ~m ~k:6))
+          ~bits:[ Random.State.int rng 24 ]
+      in
+      if Combinatorial_reconstruct.first e en = None then en :: flipped (n - 1)
+      else flipped n
+  in
+  List.iteri
+    (fun i en ->
+      match Sat_reconstruct.batch ~repair:1 e [ en ] with
+      | [ (`Signal s, Sat_reconstruct.Repaired 1, st) ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "entry %d: witness one flip away" i)
+            true (witness_at e en s 1);
+          Alcotest.(check bool)
+            (Printf.sprintf "entry %d: the solver ran rung 1" i)
+            true
+            (st <> Tp_sat.Solver.zero_stats)
+      | _ -> Alcotest.failf "entry %d: expected Repaired 1" i)
+    (flipped 12)
+
+(* A seeded m = 32 log in the perfbench repair shape: k ≤ 5 entries,
+   every third with one flipped bit, and k = 7, 8 entries past the
+   meet's reach. The meet answers the first kind without touching the
+   solver; the second kind needs it. *)
+let repair_shaped_log () =
+  let m = 32 in
+  let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m () in
+  let rng = Random.State.make [| 32 |] in
+  let log =
+    List.init 24 (fun i ->
+        let k = if i mod 4 = 3 then 7 + (i / 4 mod 2) else i mod 6 in
+        let en = Logger.abstract e (Signal.random rng ~m ~k) in
+        if i mod 3 = 0 && k <= 5 then
+          Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ]
+        else en)
+  in
+  (e, log)
+
+let test_meet_rungs_cost_no_solver_work () =
+  let e, log = repair_shaped_log () in
+  List.iteri
+    (fun i (en, (verdict, _, st)) ->
+      Alcotest.(check bool) (Printf.sprintf "entry %d answered" i) true
+        (match verdict with `Signal _ -> true | _ -> false);
+      if Log_entry.k en <= 6 then
+        Alcotest.(check bool)
+          (Printf.sprintf "entry %d (k = %d): zero solver stats" i (Log_entry.k en))
+          true
+          (st = Tp_sat.Solver.zero_stats)
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "entry %d (k = %d): solver work" i (Log_entry.k en))
+          true
+          (st <> Tp_sat.Solver.zero_stats))
+    (List.combine log (Sat_reconstruct.batch ~repair:1 e log))
 
 (* ------------------------------------------------------------------ *)
 (* Regression: counting a repaired entry under an exhausted budget      *)
@@ -499,7 +670,17 @@ let () =
             test_repair_k_beyond_m;
           Alcotest.test_case "repair batch propagation count" `Quick
             test_repair_batch_propagations;
+          Alcotest.test_case "solver-only batch propagation count" `Quick
+            test_solver_batch_propagations;
         ] );
+      ( "meet-rungs",
+        qt [ prop_batch_ladder_matches_oracle ]
+        @ [
+            Alcotest.test_case "meet rung 0, solver rung 1" `Quick
+              test_meet_then_sat;
+            Alcotest.test_case "meet-answered entries cost no solver work"
+              `Quick test_meet_rungs_cost_no_solver_work;
+          ] );
       ( "count-regression",
         [
           Alcotest.test_case "exhausted budget reports Lower_bound" `Quick

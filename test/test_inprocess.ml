@@ -55,107 +55,129 @@ let build ~inprocess nvars clauses xors =
   if inprocess then Solver.simplify s;
   s
 
+(* The property bodies are functions of the seed, so the regression
+   cases below can replay the seeds a scan found failing. *)
+let verdicts_agree seed =
+  let st = Random.State.make [| seed; 17 |] in
+  let nvars, clauses, xors = random_instance st in
+  let a = build ~inprocess:true nvars clauses xors in
+  let b = build ~inprocess:false nvars clauses xors in
+  let ra = Solver.solve a and rb = Solver.solve b in
+  if ra <> rb then
+    QCheck.Test.fail_reportf "inprocessed %s vs plain %s" (result_str ra)
+      (result_str rb);
+  (* an inprocessed model must satisfy the ORIGINAL constraints —
+     this is what catches a broken BVE model extension *)
+  (match ra with
+  | Solver.Sat ->
+      let m = Solver.model a in
+      if not (List.for_all (clause_sat m) clauses) then
+        QCheck.Test.fail_report
+          "inprocessed model violates an original clause";
+      if not (List.for_all (xor_sat m) xors) then
+        QCheck.Test.fail_report "inprocessed model violates an XOR row"
+  | _ -> ());
+  true
+
 let prop_verdicts_agree =
   QCheck.Test.make ~name:"inprocessing on/off: same verdict, valid models"
     ~count:120
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed; 17 |] in
-      let nvars, clauses, xors = random_instance st in
-      let a = build ~inprocess:true nvars clauses xors in
-      let b = build ~inprocess:false nvars clauses xors in
-      let ra = Solver.solve a and rb = Solver.solve b in
-      if ra <> rb then
-        QCheck.Test.fail_reportf "inprocessed %s vs plain %s" (result_str ra)
-          (result_str rb);
-      (* an inprocessed model must satisfy the ORIGINAL constraints —
-         this is what catches a broken BVE model extension *)
-      (match ra with
-      | Solver.Sat ->
-          let m = Solver.model a in
-          if not (List.for_all (clause_sat m) clauses) then
-            QCheck.Test.fail_report
-              "inprocessed model violates an original clause";
-          if not (List.for_all (xor_sat m) xors) then
-            QCheck.Test.fail_report "inprocessed model violates an XOR row"
-      | _ -> ());
-      true)
+    verdicts_agree
+
+let counts_agree seed =
+  let st = Random.State.make [| seed; 23 |] in
+  let nvars, clauses, xors = random_instance st in
+  let project = List.init nvars Fun.id in
+  let count inprocess =
+    Allsat.count (build ~inprocess nvars clauses xors) ~project
+  in
+  let ca = count true and cb = count false in
+  if ca <> cb then
+    QCheck.Test.fail_reportf "counts differ: (%d,%s) vs (%d,%s)" (fst ca)
+      (match snd ca with `Exact -> "exact" | `Lower_bound -> "lb")
+      (fst cb)
+      (match snd cb with `Exact -> "exact" | `Lower_bound -> "lb");
+  true
 
 let prop_counts_agree =
   QCheck.Test.make ~name:"inprocessing on/off: identical exact model counts"
     ~count:60
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed; 23 |] in
-      let nvars, clauses, xors = random_instance st in
-      let project = List.init nvars Fun.id in
-      let count inprocess =
-        Allsat.count (build ~inprocess nvars clauses xors) ~project
-      in
-      let ca = count true and cb = count false in
-      if ca <> cb then
-        QCheck.Test.fail_reportf "counts differ: (%d,%s) vs (%d,%s)" (fst ca)
-          (match snd ca with `Exact -> "exact" | `Lower_bound -> "lb")
-          (fst cb)
-          (match snd cb with `Exact -> "exact" | `Lower_bound -> "lb");
-      true)
+    counts_agree
 
 (* Guarded constraint groups (the repair-ladder / enumeration-blocking
    pattern): a guard that occurs only negatively is a prime BVE target,
    so this exercises elimination and restoration of guard variables
    around assumption-driven queries. *)
+let guarded_groups_agree seed =
+  let st = Random.State.make [| seed; 31 |] in
+  let nvars, clauses, xors = random_instance st in
+  let g = nvars in
+  let total = nvars + 1 in
+  let pos_g = Lit.pos g and neg_g = Lit.make g false in
+  let nguarded = 1 + Random.State.int st 3 in
+  let gclauses =
+    List.init nguarded (fun _ ->
+        let len = 1 + Random.State.int st 3 in
+        neg_g
+        :: List.init len (fun _ ->
+               Lit.make (Random.State.int st nvars) (Random.State.bool st)))
+  in
+  let gxor =
+    ( List.init (2 + Random.State.int st 3) (fun _ ->
+          Random.State.int st nvars),
+      Random.State.bool st )
+  in
+  let mk inprocess =
+    let s = Solver.create () in
+    Solver.set_inprocess s inprocess;
+    if inprocess then Solver.set_inprocess_interval s 1;
+    Solver.ensure_vars s total;
+    List.iter (Solver.add_clause s) clauses;
+    List.iter (fun (vars, parity) -> Solver.add_xor s ~vars ~parity) xors;
+    List.iter (Solver.add_clause s) gclauses;
+    let vars, parity = gxor in
+    Solver.add_xor ~guard:pos_g s ~vars ~parity;
+    if inprocess then Solver.simplify s;
+    s
+  in
+  let a = mk true and b = mk false in
+  let step name assumptions =
+    let ra = Solver.solve ~assumptions a in
+    let rb = Solver.solve ~assumptions b in
+    if ra <> rb then
+      QCheck.Test.fail_reportf "%s: inprocessed %s vs plain %s" name
+        (result_str ra) (result_str rb);
+    Solver.simplify a
+  in
+  step "group on" [ pos_g ];
+  step "group off" [ neg_g ];
+  (* retire the group for good *)
+  Solver.add_clause a [ neg_g ];
+  Solver.add_clause b [ neg_g ];
+  step "group retired" [];
+  true
+
 let prop_guarded_groups_agree =
   QCheck.Test.make
     ~name:"inprocessing on/off: guarded groups under assumptions" ~count:60
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed; 31 |] in
-      let nvars, clauses, xors = random_instance st in
-      let g = nvars in
-      let total = nvars + 1 in
-      let pos_g = Lit.pos g and neg_g = Lit.make g false in
-      let nguarded = 1 + Random.State.int st 3 in
-      let gclauses =
-        List.init nguarded (fun _ ->
-            let len = 1 + Random.State.int st 3 in
-            neg_g
-            :: List.init len (fun _ ->
-                   Lit.make (Random.State.int st nvars) (Random.State.bool st)))
-      in
-      let gxor =
-        ( List.init (2 + Random.State.int st 3) (fun _ ->
-              Random.State.int st nvars),
-          Random.State.bool st )
-      in
-      let mk inprocess =
-        let s = Solver.create () in
-        Solver.set_inprocess s inprocess;
-        if inprocess then Solver.set_inprocess_interval s 1;
-        Solver.ensure_vars s total;
-        List.iter (Solver.add_clause s) clauses;
-        List.iter (fun (vars, parity) -> Solver.add_xor s ~vars ~parity) xors;
-        List.iter (Solver.add_clause s) gclauses;
-        let vars, parity = gxor in
-        Solver.add_xor ~guard:pos_g s ~vars ~parity;
-        if inprocess then Solver.simplify s;
-        s
-      in
-      let a = mk true and b = mk false in
-      let step name assumptions =
-        let ra = Solver.solve ~assumptions a in
-        let rb = Solver.solve ~assumptions b in
-        if ra <> rb then
-          QCheck.Test.fail_reportf "%s: inprocessed %s vs plain %s" name
-            (result_str ra) (result_str rb);
-        Solver.simplify a
-      in
-      step "group on" [ pos_g ];
-      step "group off" [ neg_g ];
-      (* retire the group for good *)
-      Solver.add_clause a [ neg_g ];
-      Solver.add_clause b [ neg_g ];
-      step "group retired" [];
-      true)
+    guarded_groups_agree
+
+(* Seeds a scan of the generators above found failing, replayed on
+   every run. Self-subsuming resolution of a unit (l) against (¬l)
+   left an empty clause that root cleanup ignored, so the inprocessed
+   solver answered Sat on UNSAT formulas (verdict and count seeds).
+   XOR recovery re-attached guarded rows as if unguarded, forcing a
+   one-free-variable row at the root even with its guard off (guarded
+   seeds). *)
+let replay name agree seeds =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun seed ->
+          Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (agree seed))
+        seeds)
 
 let prop_clone_agrees =
   QCheck.Test.make ~name:"inprocessing after clone: same verdicts" ~count:60
@@ -316,6 +338,14 @@ let () =
             prop_guarded_groups_agree;
             prop_clone_agrees;
           ] );
+      ( "regression",
+        [
+          replay "empty resolvent refutes: verdicts" verdicts_agree
+            [ 93370; 45035; 60827; 86395; 96390 ];
+          replay "empty resolvent refutes: counts" counts_agree [ 5069; 24883 ];
+          replay "xor recovery keeps guarded rows guarded" guarded_groups_agree
+            [ 44205; 83640; 112622; 132932; 153381 ];
+        ] );
       ( "passes",
         [
           Alcotest.test_case "subsumption + self-subsumption" `Quick

@@ -359,6 +359,36 @@ let test_batch_emit_one_chunk_without_jobs () =
         (digest results = digest (Sat_reconstruct.batch ~repair:1 enc log))
   | _ -> Alcotest.fail "expected exactly one chunk, at index 0"
 
+(* The repair ladder's meet rungs under entry-level parallelism: every
+   entry here is a one-bit-flipped k = 5 entry that the rank check
+   refutes, so the meet answers rung 1 in each chunk, which builds its
+   own triple half. Every pool size gives the jobs = 1 answer. *)
+let test_meet_rungs_across_domains () =
+  let m = 40 in
+  let enc = Encoding.random_constrained ~depth:4 ~seed:7 ~m ~b:60 () in
+  let rng = Random.State.make [| 40 |] in
+  let log =
+    List.init 48 (fun _ ->
+        Fault.flip_tp
+          (Logger.abstract enc (Signal.random rng ~m ~k:5))
+          ~bits:[ Random.State.int rng 60 ])
+  in
+  Alcotest.(check bool) "premise: every entry is rank-refuted" true
+    (List.for_all (Presolve.refutes enc) log);
+  let run jobs = Plan.run_stream ~repair:1 ~jobs enc log in
+  let one = run 1 in
+  Alcotest.(check bool) "every entry repaired" true
+    (List.for_all
+       (fun (_, h, _) -> h = Sat_reconstruct.Repaired 1)
+       one);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d identical to jobs=1" jobs)
+        true
+        (run jobs = one))
+    [ 2; 4 ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "parallel"
@@ -403,5 +433,7 @@ let () =
             test_single_core_check_pinned;
           Alcotest.test_case "batch_emit without jobs is one inline chunk"
             `Quick test_batch_emit_one_chunk_without_jobs;
+          Alcotest.test_case "meet rungs identical across domains" `Quick
+            test_meet_rungs_across_domains;
         ] );
     ]

@@ -461,6 +461,23 @@ let test_daemon_client_hangup () =
           done);
       with_conn socket check_stats)
 
+(* A design its parameters cannot realize (an incremental counter out
+   of 1-bit values) is a bad request: the daemon answers it and keeps
+   serving the next client. *)
+let test_daemon_impossible_design () =
+  with_daemon (fun socket ->
+      with_conn socket (fun conn ->
+          match
+            Daemon.request conn ~body:[] "load name=a scheme=incremental m=3 b=1"
+              ~on_line:ignore
+          with
+          | Ok (`Err line) ->
+              Alcotest.(check bool) "impossible design is a bad request" true
+                (contains line "code=bad-request")
+          | Ok (`Ok line) -> Alcotest.failf "impossible design loaded: %s" line
+          | Error msg -> Alcotest.failf "connection lost: %s" msg);
+      with_conn socket check_stats)
+
 (* A stream or flow header that fails to parse still declares its
    body; the daemon must consume it, so the next request gets its own
    reply instead of an err line per body line. *)
@@ -538,6 +555,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "wire protocol e2e" `Quick test_daemon_socket;
+          Alcotest.test_case "impossible design is a bad request" `Quick
+            test_daemon_impossible_design;
           Alcotest.test_case "client hang-up ends only its connection" `Quick
             test_daemon_client_hangup;
           Alcotest.test_case "negative max is a bad request" `Quick
