@@ -50,7 +50,7 @@ flip() {
 }
 
 # repair log: the fast-path prefix above, then flipped entries and
-# k=7 entries (past MITM's reach) — twelve SAT-routed entries, two
+# k=9 entries (past MITM's reach) — twelve SAT-routed entries, two
 # SAT chunks — and a last fast one
 rlog="$dir/rlog"
 {
@@ -60,13 +60,13 @@ rlog="$dir/rlog"
   flip 00010000000001000000000000000000
   flip 00000000001100000000000000000000
   flip 01000000000000000000000000100000
-  entry 01101000000010000000100000000011
-  entry 01000010000100001010000000001001
-  entry 00100101000001000100000000001010
-  entry 01010001000000000010100000110000
-  entry 01010001000010000010000000010010
-  entry 00011000110001000110000000000000
-  entry 00010100000000000111010000100000
+  entry 01101010000010010000100000000011
+  entry 01000110000100001110000000001001
+  entry 00100101100001000100100000001010
+  entry 01010001010000000010101000110000
+  entry 01010001001010000010000010010010
+  entry 00011000110011000110000000001000
+  entry 00010100000100000111010000100010
   entry 00000000000000000000000000011000
 } > "$rlog"
 

@@ -2134,7 +2134,7 @@ let flow_bench ~full ~smoke () =
      m >= 128. Full Pack.compile is recorded under both rref
      policies, and a short mixed-k stream must answer identically
      under both — the policy knob may move time, never answers.
-   - mitm: Enumerate-all preimages on k in {5, 6} cells, forced MITM
+   - mitm: Enumerate-all preimages on k in {5, 6, 7, 8} cells, forced MITM
      against forced SAT on one prebuilt session: identical sorted
      witness lists, and the MITM median must beat SAT outright.
    - design-search: the consumer loop the kernels exist for — grade
@@ -2368,16 +2368,17 @@ let kernels_bench ~full ~smoke () =
         :: !kn_cells)
     pack_ms;
   gate_median "pack kernel" 2. !pack_sps;
-  (* --- MITM k in {5, 6} vs forced SAT on one prebuilt session ---
+  (* --- MITM k in {5, 6, 7, 8} vs forced SAT on one prebuilt session ---
      Cells are picked so the SAT side can actually finish its
      exhaustion proof: at m = 128 (or low b) forced SAT never
      completes an enumerate-all, which is the point the speedup
      column already makes at m <= 64. *)
   let mitm_grid =
-    if smoke then [ (32, 5, 14); (32, 6, 16); (48, 5, 18) ]
+    if smoke then
+      [ (32, 5, 14); (32, 6, 16); (48, 5, 18); (32, 7, 20); (32, 8, 22) ]
     else
       [ (32, 5, 14); (32, 6, 16); (48, 5, 18); (48, 6, 20); (64, 5, 26);
-        (64, 6, 30) ]
+        (64, 6, 30); (32, 7, 20); (32, 8, 22) ]
   in
   Format.printf "@.%-12s %4s %10s %10s %8s@." "mitm" "pre" "mitm" "sat"
     "speedup";

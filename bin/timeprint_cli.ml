@@ -145,9 +145,10 @@ let engine_arg =
         ~doc:
           "Reconstruction engine: $(b,auto) (cost-model planner, default), \
            or force $(b,sat), $(b,linear), $(b,mitm). The MITM engine's \
-           sorted-meet join covers k <= 6 change positions (half-sum \
-           tables; triples gated by a memory bound). A forced engine that \
-           cannot answer the query falls through to SAT.")
+           half-sum meet covers k <= 8 change positions (sorted tables \
+           with a key directory; the triple table and the probe count \
+           are capped). A forced engine that cannot answer the query \
+           falls through to SAT.")
 
 let explain_flag =
   Arg.(

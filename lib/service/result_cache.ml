@@ -1,22 +1,19 @@
 open Timeprint
 
-(* Key: which reconstruction this is. The log entry itself lives in
-   the shard's Trace_db; the key references it by trace-cycle index,
-   so a cached result is valid exactly as long as its entry has not
-   worn out of the ring — Trace_db's bounded retention IS the cache's
-   eviction policy, the same "stored until they wear out" story the
-   paper tells for the log itself. *)
-type key = {
-  k_tp : string; (* timeprint bits *)
-  k_k : int;
-  k_fp : string; (* query fingerprint: answer + assumptions + budget *)
-}
-
+(* A result is filed under one string — the timeprint bits, k and the
+   query fingerprint — and stamped with the number of stores its
+   design's shard had seen before it. A per-shard counter stands in for
+   the paper's "stored until they wear out" ring (Trace_db): a result
+   wears out once [capacity] newer stores have landed on its design,
+   exactly when a [capacity]-slot ring would have overwritten its
+   entry — without keeping the entry itself, which no lookup reads. *)
 type slot = { s_cycle : int; s_outcome : Engine.outcome }
 
 type shard = {
-  sh_db : Trace_db.t;
-  sh_tbl : (key, slot) Hashtbl.t;
+  sh_m : int;
+  sh_b : int;
+  mutable sh_total : int; (* stores ever made on this shard *)
+  sh_tbl : (string, slot) Hashtbl.t;
 }
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
@@ -47,19 +44,24 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+(* the timeprint is a fixed-width run of '0'/'1' and k a decimal, so
+   the first two spaces split the key unambiguously *)
 let key entry ~fingerprint =
-  {
-    k_tp = Tp_bitvec.Bitvec.to_string (Log_entry.tp entry);
-    k_k = Log_entry.k entry;
-    k_fp = fingerprint;
-  }
+  String.concat " "
+    [
+      Tp_bitvec.Bitvec.to_string (Log_entry.tp entry);
+      string_of_int (Log_entry.k entry);
+      fingerprint;
+    ]
 
 (* A shard belongs to one (design, encoding): a design reloaded with a
    different encoding gets a fresh shard (all its cached results are
    answers to a different linear system). *)
-let shard_matches sh enc =
-  let e = Trace_db.encoding sh.sh_db in
-  Encoding.m e = Encoding.m enc && Encoding.b e = Encoding.b enc
+let shard_matches sh enc = sh.sh_m = Encoding.m enc && sh.sh_b = Encoding.b enc
+
+(* a result stored as the shard's [cycle]-th store is worn out once
+   [capacity] newer ones have landed *)
+let worn_out t sh cycle = cycle < sh.sh_total - t.capacity
 
 let shard t ~design enc =
   match Hashtbl.find_opt t.shards design with
@@ -69,7 +71,12 @@ let shard t ~design enc =
       | Some sh -> t.evictions <- t.evictions + Hashtbl.length sh.sh_tbl
       | None -> ());
       let sh =
-        { sh_db = Trace_db.create ~capacity:t.capacity enc; sh_tbl = Hashtbl.create 64 }
+        {
+          sh_m = Encoding.m enc;
+          sh_b = Encoding.b enc;
+          sh_total = 0;
+          sh_tbl = Hashtbl.create 64;
+        }
       in
       Hashtbl.replace t.shards design sh;
       sh
@@ -90,9 +97,7 @@ let lookup t ~design enc entry ~fingerprint =
               t.misses <- t.misses + 1;
               None
           | Some slot ->
-              if slot.s_cycle < Trace_db.oldest sh.sh_db then begin
-                (* the backing entry wore out of the ring: the result
-                   is gone with it *)
+              if worn_out t sh slot.s_cycle then begin
                 Hashtbl.remove sh.sh_tbl k;
                 t.evictions <- t.evictions + 1;
                 t.misses <- t.misses + 1;
@@ -103,15 +108,14 @@ let lookup t ~design enc entry ~fingerprint =
                 Some slot.s_outcome
               end))
 
-(* Sweep worn-out keys so the side table tracks the ring instead of
-   growing without bound; amortized by sweeping only when the table
-   outgrows the ring. *)
+(* Sweep worn-out keys so the table tracks the last [capacity] stores
+   instead of growing without bound; amortized by sweeping only when
+   the table outgrows twice that. *)
 let sweep t sh =
-  if Hashtbl.length sh.sh_tbl > 2 * Trace_db.capacity sh.sh_db then begin
-    let oldest = Trace_db.oldest sh.sh_db in
+  if Hashtbl.length sh.sh_tbl > 2 * t.capacity then begin
     let dead =
       Hashtbl.fold
-        (fun k slot acc -> if slot.s_cycle < oldest then k :: acc else acc)
+        (fun k slot acc -> if worn_out t sh slot.s_cycle then k :: acc else acc)
         sh.sh_tbl []
     in
     List.iter (Hashtbl.remove sh.sh_tbl) dead;
@@ -121,10 +125,9 @@ let sweep t sh =
 let store t ~design enc entry ~fingerprint outcome =
   locked t (fun () ->
       let sh = shard t ~design enc in
-      Trace_db.append sh.sh_db entry;
-      let cycle = Trace_db.total sh.sh_db - 1 in
       Hashtbl.replace sh.sh_tbl (key entry ~fingerprint)
-        { s_cycle = cycle; s_outcome = outcome };
+        { s_cycle = sh.sh_total; s_outcome = outcome };
+      sh.sh_total <- sh.sh_total + 1;
       sweep t sh)
 
 let invalidate t ~design =

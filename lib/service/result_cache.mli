@@ -1,15 +1,16 @@
-(** Reconstructed-trace cache backed by {!Timeprint.Trace_db}: a
-    repeat query over the same (design, log entry, query) key is a
-    table lookup, not a solver run.
+(** Reconstructed-trace cache: a repeat query over the same (design,
+    log entry, query) key is a table lookup, not a solver run.
 
-    Per design, the cached log entries live in a bounded
-    {!Timeprint.Trace_db} ring — the paper's "stored until they wear
-    out" store — and each cached outcome references its entry by
-    trace-cycle index. When the ring overwrites an entry, every
-    result hanging off it is worn out too: the ring's retention bound
-    {e is} the eviction policy. A design reloaded with a different
-    encoding drops its shard (those results answer a different linear
-    system).
+    Per design, results wear out the way the paper's store keeps its
+    log entries — "stored until they wear out" in a bounded ring
+    ({!Timeprint.Trace_db}): each result is stamped with its position
+    in the design's sequence of stores, and is gone once [capacity]
+    newer results have been stored for that design, exactly when a
+    [capacity]-slot ring would have overwritten its entry. Only the
+    counter is kept, not the entries. Each result is filed under one
+    string (timeprint bits, k, fingerprint). A design reloaded with a
+    different encoding drops its shard (those results answer a
+    different linear system).
 
     Thread-safe. Only single-entry planner queries are cached; stream
     triage is deliberately not — a partially-cached stream would
@@ -25,18 +26,17 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;
-      (** results dropped because their ring entry wore out, their
-          design's shard was invalidated, or the design's encoding
-          changed *)
+      (** results dropped because they wore out, their design's shard
+          was invalidated, or the design's encoding changed *)
   entries : int;  (** currently cached results, all designs *)
 }
 
 val default_capacity : int
-(** 1024 trace-cycles per design ring. *)
+(** 1024 stores per design. *)
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] is each per-design ring's size in trace-cycles.
-    Raises [Invalid_argument] when [<= 0]. *)
+(** [capacity] is how many newer stores on its design a result
+    survives. Raises [Invalid_argument] when [<= 0]. *)
 
 val lookup :
   t ->
@@ -57,8 +57,9 @@ val store :
   fingerprint:string ->
   Engine.outcome ->
   unit
-(** Append the entry to the design's ring and file the outcome under
-    it, possibly wearing out the oldest cached results. *)
+(** File the outcome under (entry, fingerprint) as the design's newest
+    store, replacing any earlier result under that key; the design's
+    result stored [capacity] stores ago wears out. *)
 
 val invalidate : t -> design:string -> unit
 (** Drop a design's whole shard (registry eviction/replacement). *)

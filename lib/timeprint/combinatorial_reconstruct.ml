@@ -1,8 +1,8 @@
 open Tp_bitvec
 
-let supported ~k = k >= 0 && k <= 6
+let supported ~k = k >= 0 && k <= 8
 
-let unsupported () = invalid_arg "Combinatorial_reconstruct: k > 6 unsupported"
+let unsupported () = invalid_arg "Combinatorial_reconstruct: k > 8 unsupported"
 
 (* ---- Linear 62-bit keys --------------------------------------------- *)
 
@@ -31,38 +31,59 @@ let key_wide v =
 (* ---- Sorted half-sum tables ----------------------------------------- *)
 
 (* A [half] lists every candidate half-subset as parallel arrays sorted
-   by (key, payload): all preimages of a key sit in one contiguous run
-   found by a single binary search. Payloads pack the subset's indices
-   20 bits each, largest index in the low bits, so the smallest index
-   is always the topmost field — the canonical-split test below reads
-   it with one shift. *)
+   by (key, payload): all preimages of a key sit in one contiguous run.
+   Payloads pack the subset's indices 20 bits each, largest index in
+   the low bits, so the smallest index is always the topmost field —
+   the canonical-split test below reads it with one shift.
 
-type half = { keys : int array; pays : int array }
+   A key directory finds the run without a search: [dir.(s)] is the
+   first position whose key has top bits [key lsr shift ≥ s], over
+   2^min(key_bits, ⌈log₂ n⌉ − 2) slots, so a slot spans about four
+   entries and a probe reads two slots and scans that short run. Where
+   the slots cover every key bit ([shift = 0]) a slot's run is exactly
+   its key's hits, and the half keeps no [keys] array. *)
+
+type half = { keys : int array; pays : int array; dir : int array; shift : int }
 
 let idx_bits = 20
 let idx_mask = (1 lsl idx_bits) - 1
 
 (* Triples are the one half that can explode: C(m,3) entries. Cap the
-   materialized size; [feasible] lets the planner route larger
-   instances to SAT instead of tripping the guard. *)
+   materialized size, and a meet's probe count at the same bound;
+   [feasible] lets the planner route larger instances to SAT instead
+   of tripping the guard. *)
 let triples_limit = 1 lsl 23
 
-let choose3 m = m * (m - 1) * (m - 2) / 6
+(* C(m, r), exact while C(m, r − 1) · m fits an int: r ≤ 5 at the
+   m ≤ 368 the triple cap admits, and r = 3 up to the payload width *)
+let choose m r =
+  let c = ref 1 in
+  for i = 0 to r - 1 do
+    c := !c * (m - i) / (i + 1)
+  done;
+  !c
 
-let triples_feasible m = m >= 0 && choose3 m <= triples_limit
+let triples_feasible m = m >= 0 && choose m 3 <= triples_limit
+
+(* How many of a k-subset's indices the table half holds: the whole
+   subset for k ≤ 2, else ⌈k/2⌉ up to the triples. The probe side
+   enumerates the other k − h. *)
+let half_size k = if k <= 2 then k else min 3 ((k + 1) / 2)
 
 let feasible enc ~k =
+  let m = Encoding.m enc in
   k >= 0
-  && (k <= 4 || (k <= 6 && triples_feasible (Encoding.m enc)))
+  && (k <= 4
+     || (supported ~k && triples_feasible m
+        && choose m (k - half_size k) <= triples_limit))
 
-(* log₂ of the sorted-meet work: C(m, ⌊k/2⌋) probes, each a binary
-   search over the C(m, ⌈k/2⌉)-entry half table. *)
+(* log₂ of the meet's probe count, C(m, k − h). A probe is O(1) — two
+   directory slots and a run of a few entries — so it counts as one
+   step. k ≤ 2 is a single lookup and keeps its log₂ m price, so the
+   planner's choices there stay as they were. *)
 let cost_bits ~m ~k =
-  let lg x = log x /. log 2. in
-  if k <= 2 then lg (float_of_int (max 1 m))
-  else
-    Signal.log2_choose m (k / 2)
-    +. lg (max 1. (Signal.log2_choose m ((k + 1) / 2)))
+  if k <= 2 then log (float_of_int (max 1 m)) /. log 2.
+  else Signal.log2_choose m (k - half_size k)
 
 (* Stable LSD radix sort of the parallel (keys, pays) arrays by key,
    11-bit digits. Comparison sorts lose here: a comparator call (even
@@ -71,10 +92,11 @@ let cost_bits ~m ~k =
    Stability buys the (key, pay) order for free — every generator
    below emits payloads in strictly increasing order, so equal-key
    runs arrive pay-sorted and stay that way. [key_bits] bounds the
-   significant bits so narrow (exact) keys pay only ⌈b/11⌉ passes. *)
+   significant bits so narrow (exact) keys pay only ⌈b/11⌉ passes.
+   One more pass over the sorted keys fills the half's directory. *)
 let radix_digit = 11
 
-let sort_half ?(key_bits = bpw) keys pays =
+let sort_half ~key_bits keys pays =
   let n = Array.length keys in
   if n > 1 then begin
     let buckets = 1 lsl radix_digit in
@@ -84,7 +106,7 @@ let sort_half ?(key_bits = bpw) keys pays =
     let src_k = ref keys and src_p = ref pays in
     let dst_k = ref tk and dst_p = ref tp in
     let shift = ref 0 in
-    let bits = max 1 (min key_bits bpw) in
+    let bits = max 1 key_bits in
     while !shift < bits do
       let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
       let sh = !shift in
@@ -119,10 +141,23 @@ let sort_half ?(key_bits = bpw) keys pays =
       Array.blit !src_p 0 pays 0 n
     end
   end;
-  { keys; pays }
+  let rec ceil_log2 c = if 1 lsl c >= n then c else ceil_log2 (c + 1) in
+  let dir_bits = min key_bits (max 0 (ceil_log2 0 - 2)) in
+  let shift = key_bits - dir_bits in
+  let dir = Array.make ((1 lsl dir_bits) + 1) n in
+  let s = ref 0 in
+  for i = 0 to n - 1 do
+    let top = keys.(i) lsr shift in
+    while !s <= top do
+      dir.(!s) <- i;
+      incr s
+    done
+  done;
+  { keys = (if shift = 0 then [||] else keys); pays; dir; shift }
 
 type table = {
   t_m : int;
+  t_b : int;
   t_exact : bool;  (** keys are injective (b ≤ 62): skip verification *)
   t_key : int array;  (** per-signal-index key κᵢ = κ(TS(i)) *)
   t_singles : half;
@@ -139,13 +174,14 @@ let pair_table enc : table =
   let exact = Encoding.b enc <= bpw in
   let key_of v = if exact then Bitvec.get_word v 0 else key_wide v in
   (* XORs of keys stay below 2^b in the exact case, so every table of
-     this encoding sorts in ⌈b/11⌉ radix passes *)
+     this encoding sorts in ⌈b/11⌉ radix passes and its directory
+     slots read the top of b bits *)
   let key_bits = if exact then Encoding.b enc else bpw in
   let t_key = Array.init m (fun i -> key_of (Encoding.timestamp enc i)) in
   let singles = sort_half ~key_bits (Array.copy t_key) (Array.init m Fun.id) in
   let npairs = m * (m - 1) / 2 in
-  let pk = Array.make (max npairs 1) 0 in
-  let pp = Array.make (max npairs 1) 0 in
+  let pk = Array.make npairs 0 in
+  let pp = Array.make npairs 0 in
   let c = ref 0 in
   for i = 0 to m - 1 do
     for j = i + 1 to m - 1 do
@@ -154,18 +190,15 @@ let pair_table enc : table =
       incr c
     done
   done;
-  let pairs =
-    if npairs = 0 then { keys = [||]; pays = [||] }
-    else sort_half ~key_bits pk pp
-  in
+  let pairs = sort_half ~key_bits pk pp in
   let triples =
     lazy
       (if not (triples_feasible m) then
          invalid_arg "Combinatorial_reconstruct: triple table infeasible (m too large)"
        else begin
-         let n = choose3 m in
-         let tk = Array.make (max n 1) 0 in
-         let tp = Array.make (max n 1) 0 in
+         let n = choose m 3 in
+         let tk = Array.make n 0 in
+         let tp = Array.make n 0 in
          let c = ref 0 in
          for i = 0 to m - 1 do
            for j = i + 1 to m - 1 do
@@ -178,11 +211,12 @@ let pair_table enc : table =
              done
            done
          done;
-         if n = 0 then { keys = [||]; pays = [||] } else sort_half ~key_bits tk tp
+         sort_half ~key_bits tk tp
        end)
   in
   {
     t_m = m;
+    t_b = Encoding.b enc;
     t_exact = exact;
     t_key;
     t_singles = singles;
@@ -193,101 +227,85 @@ let pair_table enc : table =
 let table_for ?table enc =
   match table with Some t -> t | None -> pair_table enc
 
-(* leftmost index whose key is ≥ [key] *)
-let lower_bound h key =
-  let lo = ref 0 and hi = ref (Array.length h.keys) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if h.keys.(mid) < key then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let iter_hits h key f =
-  let n = Array.length h.keys in
-  let i = ref (lower_bound h key) in
-  while !i < n && h.keys.(!i) = key do
-    f h.pays.(!i);
-    incr i
-  done
-
 (* ---- The meet ------------------------------------------------------- *)
 
 (* Each k-subset is produced exactly once via the canonical split: the
-   probe side carries the ⌊k/2⌋ *smallest* indices, the table side the
-   rest, enforced by requiring the table half's minimum index to exceed
-   the probe half's maximum. *)
+   probe side carries the k − h *smallest* indices, the table half the
+   h largest, enforced by requiring the table half's minimum index to
+   exceed the probe side's maximum. Probe loops stop where fewer than
+   h indices remain above them, which skips only probes that cannot
+   hit, so the probe order — and the first witness — is unchanged. *)
 
 let verify enc tp changes =
   let acc = Bitvec.create (Bitvec.width tp) in
   List.iter (fun i -> Bitvec.xor_in_place acc (Encoding.timestamp enc i)) changes;
   Bitvec.equal acc tp
 
-(* [meet] drives every k ∈ [0, 6]: [emit] receives each candidate
+(* [meet] drives every k ∈ [0, 8]: [emit] receives each candidate
    change list (already canonical, possibly unverified when the table
    is not exact). *)
 let meet t enc entry emit =
   let k = Log_entry.k entry in
   if not (supported ~k) then unsupported ();
-  let m = t.t_m in
   let tp = Log_entry.tp entry in
-  let tp_key = if t.t_exact then Bitvec.get_word tp 0 else key_wide tp in
-  let checked changes =
-    if t.t_exact || verify enc tp changes then emit changes
-  in
-  let pair_lo pay = pay lsr idx_bits in
-  let triple_lo pay = pay lsr (2 * idx_bits) in
-  match k with
-  | 0 -> if Bitvec.is_zero tp then emit []
-  | 1 ->
-      iter_hits t.t_singles tp_key (fun i -> checked [ i ])
-  | 2 ->
-      iter_hits t.t_pairs tp_key (fun pay ->
-          checked [ pair_lo pay; pay land idx_mask ])
-  | 3 ->
-      for i = 0 to m - 1 do
-        iter_hits t.t_pairs (tp_key lxor t.t_key.(i)) (fun pay ->
-            let a = pair_lo pay in
-            if a > i then checked [ i; a; pay land idx_mask ])
+  (* the unchecked directory reads below rely on it *)
+  if Bitvec.width tp <> t.t_b then
+    invalid_arg "Combinatorial_reconstruct: timeprint width <> encoding b";
+  if k = 0 then (if Bitvec.is_zero tp then emit [])
+  else begin
+    let m = t.t_m in
+    let tp_key = if t.t_exact then Bitvec.get_word tp 0 else key_wide tp in
+    let h = half_size k in
+    let { keys; pays; dir; shift } =
+      match h with
+      | 1 -> t.t_singles
+      | 2 -> t.t_pairs
+      | _ -> Lazy.force t.t_triples
+    in
+    let r = k - h in
+    let top = (h - 1) * idx_bits in
+    let probe = Array.make r 0 in
+    let hit pay =
+      let rec table_side j acc =
+        if j = h then acc
+        else table_side (j + 1) (((pay lsr (j * idx_bits)) land idx_mask) :: acc)
+      in
+      let changes = Array.fold_right List.cons probe (table_side 0 []) in
+      if t.t_exact || verify enc tp changes then emit changes
+    in
+    if r = 0 then
+      let s = tp_key lsr shift in
+      for j = dir.(s) to dir.(s + 1) - 1 do
+        if shift = 0 || keys.(j) = tp_key then hit pays.(j)
       done
-  | 4 ->
-      for i = 0 to m - 1 do
-        for j = i + 1 to m - 1 do
-          iter_hits t.t_pairs (tp_key lxor t.t_key.(i) lxor t.t_key.(j))
-            (fun pay ->
-              let a = pair_lo pay in
-              if a > j then checked [ i; j; a; pay land idx_mask ])
-        done
-      done
-  | 5 ->
-      let triples = Lazy.force t.t_triples in
-      for i = 0 to m - 1 do
-        for j = i + 1 to m - 1 do
-          iter_hits triples (tp_key lxor t.t_key.(i) lxor t.t_key.(j))
-            (fun pay ->
-              let a = triple_lo pay in
-              if a > j then
-                checked
-                  [ i; j; a; (pay lsr idx_bits) land idx_mask; pay land idx_mask ])
-        done
-      done
-  | 6 ->
-      let triples = Lazy.force t.t_triples in
-      for i = 0 to m - 1 do
-        for j = i + 1 to m - 1 do
-          let kij = tp_key lxor t.t_key.(i) lxor t.t_key.(j) in
-          for l = j + 1 to m - 1 do
-            iter_hits triples (kij lxor t.t_key.(l)) (fun pay ->
-                let a = triple_lo pay in
-                if a > l then
-                  checked
-                    [
-                      i; j; l; a; (pay lsr idx_bits) land idx_mask;
-                      pay land idx_mask;
-                    ])
+    else begin
+      (* The innermost probe level reads the directory inline: without
+         flambda a lookup closure per probe costs a third of the meet.
+         Every index is in range by construction — probe keys are XORs
+         of b-bit (or 62-bit folded) keys, so [key lsr shift] is a
+         slot, and a slot's bounds are positions of the half. *)
+      let t_key = t.t_key in
+      let rec go d lo key =
+        if d = r - 1 then
+          for i = lo to m - h - 1 do
+            Array.unsafe_set probe d i;
+            let key = key lxor Array.unsafe_get t_key i in
+            let s = key lsr shift in
+            for j = Array.unsafe_get dir s to Array.unsafe_get dir (s + 1) - 1 do
+              if shift = 0 || Array.unsafe_get keys j = key then
+                let pay = Array.unsafe_get pays j in
+                if pay lsr top > i then hit pay
+            done
           done
-        done
-      done
-  | _ -> assert false
+        else
+          for i = lo to m - k + d do
+            Array.unsafe_set probe d i;
+            go (d + 1) (i + 1) (key lxor Array.unsafe_get t_key i)
+          done
+      in
+      go 0 0 tp_key
+    end
+  end
 
 let preimage ?max_solutions ?table enc entry =
   let k = Log_entry.k entry in

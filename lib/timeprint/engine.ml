@@ -253,10 +253,11 @@ let mitm =
         | _ ->
             let k = Log_entry.k q.entry in
             if not (Combinatorial_reconstruct.supported ~k) then
-              Error (Printf.sprintf "k=%d > 6" k)
+              Error (Printf.sprintf "k=%d > 8" k)
             else if not (Combinatorial_reconstruct.feasible q.encoding ~k) then
               Error
-                (Printf.sprintf "k=%d: triple table infeasible at m=%d" k
+                (Printf.sprintf
+                   "k=%d: triple table or probe count over its cap at m=%d" k
                    (Encoding.m q.encoding))
             else Ok ());
     cost_bits =
@@ -279,10 +280,12 @@ let mitm =
             {
               stage = "mitm.meet";
               detail =
-                (if k <= 2 then Printf.sprintf "k=%d, O(m) scan" k
+                (if k <= 2 then Printf.sprintf "k=%d, one directory lookup" k
                  else if k <= 4 then
-                   Printf.sprintf "k=%d, sorted pair meet" k
-                 else Printf.sprintf "k=%d, sorted triple meet" k);
+                   Printf.sprintf "k=%d, pair-half meet, C(m,%d) probes" k (k - 2)
+                 else
+                   Printf.sprintf "k=%d, triple-half meet, C(m,%d) probes" k
+                     (k - 3));
               stats = None;
             };
           ] ));

@@ -104,11 +104,12 @@ val linear : t
     given — they cannot relax it); cost grows as [2^nullity]. *)
 
 val mitm : t
-(** Meet-in-the-middle sorted-meet join. Capable when [k ≤ 6] (triple
-    table within its materialization cap for [k ∈ {5,6}], see
-    {!Combinatorial_reconstruct.feasible}) and the query is neither
-    [Certified] nor [Repair]; [O(m)] for [k ≤ 2], sorted pair/triple
-    meets beyond. *)
+(** Meet-in-the-middle half-sum join. Capable when [k ≤ 8] (for
+    [k ∈ [5, 8]] the triple table and the meet's [C(m, k − 3)] probes
+    within their cap, see {!Combinatorial_reconstruct.feasible}) and
+    the query is neither [Certified] nor [Repair]; one directory
+    lookup for [k ≤ 2], pair-half and triple-half meets of
+    {!Combinatorial_reconstruct.cost_bits} probes beyond. *)
 
 val all : t list
 (** [[mitm; linear; sat]] — cheapest-regime first. *)

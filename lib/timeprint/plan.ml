@@ -33,14 +33,22 @@ type report = {
 
 (* Policy eligibility on top of raw capability: the auto planner only
    hands MITM property-free queries (the filter is exact but defeats
-   the O(m) early exit) and only hands linear a coset it can sweep
-   faster than a SAT warm-up. *)
+   the early exit), at k ≥ 7 only [First] ones (the meet answers any
+   other by building the whole preimage, C(m,k)/2^b signals), and
+   only hands linear a coset it can sweep faster than a SAT warm-up.
+   A k ≥ 7 [First] is bounded by [feasible]'s probe cap alone: a full
+   sweep at the cap edge (m = 120) still beats SAT (EXPERIMENTS.md). *)
 let policy_eligible (ctx : Engine.ctx) (q : Query.t) (e : Engine.t) =
   match e.Engine.capable ctx q with
   | Error reason -> Error reason
   | Ok () ->
       if e.Engine.name = "mitm" && q.assume <> [] then
         Error "policy: properties assumed"
+      else if
+        e.Engine.name = "mitm"
+        && Log_entry.k q.entry >= 7
+        && match q.answer with Query.First -> false | _ -> true
+      then Error "policy: k >= 7 and not First (whole preimage)"
       else if
         e.Engine.name = "linear" && ctx.Engine.nullity > linear_nullity_threshold
       then
@@ -369,8 +377,8 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
   let table = s.ses_table in
   let warm = s.ses_warm in
   (* which entries take the MITM fast path: the repair ladder's rung-0
-     price — any feasible k ≤ 4, and k ∈ {5, 6} only when the
-     sorted-meet estimate still beats a warm SAT solve *)
+     price — any feasible k ≤ 4, and k ∈ [5, 8] only when the meet's
+     probe count still beats a warm SAT solve *)
   let mitm_fast k = Sat_reconstruct.meet_wins encoding ~k ~flips:0 in
   (* encoding-only half of the rank check: one reduction for the whole
      stream (and, with [jobs], the read-only copy every chunk worker

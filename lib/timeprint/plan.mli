@@ -7,9 +7,12 @@
     + {b rank-refute}: the F₂ presolve runs first; an inconsistent
       [A | TP] answers the query with zero solver work (skipped for
       [Certified] queries, which must produce a DRAT refutation);
-    + {b MITM} when [k ≤ 6] (triples memory-gated), no properties are
-      assumed, and its {!Engine.t.cost_bits} beats SAT — the sorted
-      half-sum meet turns the search into binary-searched joins;
+    + {b MITM} when [k ≤ 8] (triple table and probe count capped, see
+      {!Combinatorial_reconstruct.feasible}), no properties are
+      assumed, and, at [k ≥ 7], the answer is [First] (any other
+      answer builds the whole preimage) — the half-sum meet probes the
+      smallest indices and finds each complement through a key
+      directory in O(1);
     + {b coset enumeration} when the nullity is at most
       {!linear_nullity_threshold} — the whole solution space is smaller
       than a SAT solver's warm-up (when both MITM and linear apply, the
@@ -216,7 +219,7 @@ val run_stream :
   list
 (** Planned witness reconstruction of a log stream, in order: each
     entry is rank-refuted for free when inconsistent, answered by MITM
-    when it is feasible ([k ≤ 6], triples memory-gated), cheaper than
+    when it is feasible ([k ≤ 8], triple table and probe count capped), cheaper than
     SAT ({!Sat_reconstruct.meet_wins} at [flips = 0]) and no
     properties are assumed, and the rest share one incremental
     parity-select solver ({!Sat_reconstruct.batch} — the stream

@@ -641,10 +641,12 @@ let warm_of_skeleton ~m ~b cnf =
 let cost_baseline = 20.
 
 (* Whether [lookups = C(b, flips)] meet lookups at this k beat one SAT
-   solve. A single lookup at k ≤ 4 always does (the pair meet is
-   O(m log m)); otherwise the meet's total price must undercut the SAT
-   baseline. The planner's stream fast path asks at [flips = 0], the
-   repair ladder of [batch] at each rung. *)
+   solve. A single lookup at k ≤ 4 always does (at most C(m, 2)
+   probes); otherwise the meet's total price — flip sets times probes
+   — must undercut the SAT baseline, which at m = 32 holds for a
+   single lookup up to k = 8. The
+   planner's stream fast path asks at [flips = 0], the repair ladder
+   of [batch] at each rung. *)
 let meet_wins encoding ~k ~flips =
   let m = Encoding.m encoding and b = Encoding.b encoding in
   Combinatorial_reconstruct.feasible encoding ~k

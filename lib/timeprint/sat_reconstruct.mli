@@ -361,9 +361,10 @@ val batch :
     first rung the meet declines, and every rung above it, runs on the
     solver. Both oracles are exact, so the health is the same either
     way; where a rung has several members, the meet's witness may
-    differ from the solver's. At [m = 32, b = 11] the meet takes rung 1
-    for every [k ≤ 6] and rung 2 for [k ≤ 5]; at [m = 128, b = 16],
-    rung 0 for [k ≤ 5] and rung 1 for [k ≤ 3]. At [repair = 0], or
+    differ from the solver's. At [m = 32, b = 11] the meet takes rung 0
+    for every [k ≤ 8], rung 1 for [k ≤ 7] and rungs 2–3 for [k ≤ 6]; at
+    [m = 128, b = 16], rung 0 for [k ≤ 6], rungs 1–2 for [k ≤ 5] and
+    rung 3 for [k ≤ 3]. At [repair = 0], or
     with properties assumed, every rung runs on the solver. The meet's
     half-sum table ({!Combinatorial_reconstruct.pair_table}) is built
     on the first rung it takes and belongs to this call alone.

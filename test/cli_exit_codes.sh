@@ -67,11 +67,13 @@ grep -q "^error: code=bad-request msg=" err.txt ||
   fail "impossible design: missing bad-request line"
 
 # a k no log can hold (max_int) is quarantined next to an entry routed
-# to SAT (k = 7, past the MITM range) at every budget, and is
-# unrepairable as a query: no counter bound wraps round
-printf '01111111 7\n01111111 4611686018427387903\n' >hostile.log
+# to SAT (k = 9, past the MITM range, so an m = 32 design) at every
+# budget, and is unrepairable as a query: no counter bound wraps round
+enc32="--scheme random -m 32"
+tp9=$($cli log $enc32 01101000100010000000100000010011 | sed -n 's/^TP = //p')
+printf '%s 9\n%s 4611686018427387903\n' "$tp9" "$tp9" >hostile.log
 for r in 0 1; do
-  expect 2 "hostile k, repair $r" $cli stream $enc --repair $r hostile.log
+  expect 2 "hostile k, repair $r" $cli stream $enc32 --repair $r hostile.log
 done
 expect 0 "hostile k query" $cli reconstruct $enc --tp 01111111 \
   -k 4611686018427387903 --repair 1

@@ -438,11 +438,11 @@ let test_repair_batch_propagations () =
 (* The same work count on batches whose every entry reaches the solver,
    since the meet answers most of [counter_log]'s ladder: [counter_log]
    at repair 0, where the batch consults no meet, exercises the cycle
-   counter; 16 one-bit-flipped k = 7, 8 entries, past the meet's reach,
+   counter; 16 one-bit-flipped k = 9, 10 entries, past the meet's reach,
    at repair 1 exercise the error counter too. Guarded groups cost
-   676_633 and 68_414 propagations on these two batches, the shared
-   counters 79_948 and 7_166; each batch is bounded by half its guarded
-   figure. *)
+   676_633 and 44_694 propagations on these two batches, the shared
+   counters 79_948 and 10_333; each batch is bounded by half its
+   guarded figure. *)
 let test_solver_batch_propagations () =
   let e, log = counter_log () in
   let m = Encoding.m e in
@@ -450,7 +450,7 @@ let test_solver_batch_propagations () =
   let high_k =
     List.init 16 (fun i ->
         Fault.flip_tp
-          (Logger.abstract e (Signal.random rng ~m ~k:(7 + (i mod 2))))
+          (Logger.abstract e (Signal.random rng ~m ~k:(9 + (i mod 2))))
           ~bits:[ Random.State.int rng (Encoding.b e) ])
   in
   List.iter
@@ -461,7 +461,7 @@ let test_solver_batch_propagations () =
           (guarded / 2))
     [
       ("k = 2..8 at repair 0", log, 0, 676_633);
-      ("flipped k = 7, 8 at repair 1", high_k, 1, 68_414);
+      ("flipped k = 9, 10 at repair 1", high_k, 1, 44_694);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -490,8 +490,8 @@ let witness_at e en s w =
   && Bitvec.popcount (Bitvec.logxor (Log_entry.tp a) (Log_entry.tp en)) = w
 
 (* Random small designs and logs with 0–2 flipped TP bits, k anywhere in
-   0..m: at m ≤ 12 the meet takes every rung of k ≤ 6 and the solver
-   every rung of k ≥ 7, so both halves of the ladder answer. *)
+   0..m: at m ≤ 12 the meet takes every rung of k ≤ 8 and the solver
+   every rung of k ≥ 9, so both halves of the ladder answer. *)
 let prop_batch_ladder_matches_oracle =
   QCheck.Test.make ~name:"batch ladder health = brute-force flip weight"
     ~count:60
@@ -528,24 +528,25 @@ let prop_batch_ladder_matches_oracle =
             (Sat_reconstruct.batch ~repair e log))
         [ 0; 1; 2 ])
 
-(* m = 32, b = 24, k = 6: one meet lookup (15.9 cost bits) is under the
-   SAT price, 24 of them (+4.6 bits) are not, so the meet answers rung 0
-   and the solver rung 1. The entries are one-bit-flipped k = 6 entries
-   whose rung 0 is empty, each in its own batch. *)
+(* m = 32, b = 24, k = 8: one meet lookup (C(32,5) probes, 17.6 cost
+   bits) is under the SAT price, 24 of them (+4.6 bits) are not, so the
+   meet answers rung 0 and the solver rung 1. The entries are
+   one-bit-flipped k = 8 entries whose rung 0 is empty, each in its own
+   batch. *)
 let test_meet_then_sat () =
   let m = 32 in
   let e = Encoding.random_constrained ~depth:4 ~seed:11 ~m ~b:24 () in
   Alcotest.(check bool) "meet takes rung 0" true
-    (Sat_reconstruct.meet_wins e ~k:6 ~flips:0);
+    (Sat_reconstruct.meet_wins e ~k:8 ~flips:0);
   Alcotest.(check bool) "solver takes rung 1" false
-    (Sat_reconstruct.meet_wins e ~k:6 ~flips:1);
+    (Sat_reconstruct.meet_wins e ~k:8 ~flips:1);
   let rng = Random.State.make [| 6 |] in
   let rec flipped n =
     if n = 0 then []
     else
       let en =
         Fault.flip_tp
-          (Logger.abstract e (Signal.random rng ~m ~k:6))
+          (Logger.abstract e (Signal.random rng ~m ~k:8))
           ~bits:[ Random.State.int rng 24 ]
       in
       if Combinatorial_reconstruct.first e en = None then en :: flipped (n - 1)
@@ -565,31 +566,38 @@ let test_meet_then_sat () =
       | _ -> Alcotest.failf "entry %d: expected Repaired 1" i)
     (flipped 12)
 
-(* A seeded m = 32 log in the perfbench repair shape: k ≤ 5 entries,
-   every third with one flipped bit, and k = 7, 8 entries past the
-   meet's reach. The meet answers the first kind without touching the
-   solver; the second kind needs it. *)
+(* A seeded m = 32 (b = 11) log in the perfbench repair shape: k ≤ 5
+   entries, every third with one flipped bit, k = 9, 10 entries past
+   the meet's reach, then k = 7, 8 entries, clean and one bit flipped.
+   The meet answers every k ≤ 8 entry without touching the solver (at
+   b = 11 a flipped k = 7, 8 timeprint still has a preimage, so rung 0
+   answers it); the k = 9, 10 entries need the solver. *)
 let repair_shaped_log () =
   let m = 32 in
   let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m () in
   let rng = Random.State.make [| 32 |] in
+  let flip en = Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ] in
   let log =
     List.init 24 (fun i ->
-        let k = if i mod 4 = 3 then 7 + (i / 4 mod 2) else i mod 6 in
+        let k = if i mod 4 = 3 then 9 + (i / 4 mod 2) else i mod 6 in
         let en = Logger.abstract e (Signal.random rng ~m ~k) in
-        if i mod 3 = 0 && k <= 5 then
-          Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ]
-        else en)
+        if i mod 3 = 0 && k <= 5 then flip en else en)
   in
-  (e, log)
+  let reach =
+    List.init 8 (fun i ->
+        let en = Logger.abstract e (Signal.random rng ~m ~k:(7 + (i mod 2))) in
+        if i >= 4 then flip en else en)
+  in
+  (e, log @ reach)
 
 let test_meet_rungs_cost_no_solver_work () =
   let e, log = repair_shaped_log () in
+  Alcotest.(check int) "b" 11 (Encoding.b e);
   List.iteri
     (fun i (en, (verdict, _, st)) ->
       Alcotest.(check bool) (Printf.sprintf "entry %d answered" i) true
         (match verdict with `Signal _ -> true | _ -> false);
-      if Log_entry.k en <= 6 then
+      if Log_entry.k en <= 8 then
         Alcotest.(check bool)
           (Printf.sprintf "entry %d (k = %d): zero solver stats" i (Log_entry.k en))
           true

@@ -132,7 +132,7 @@ let test_huge_nullity_falls_through () =
   let e = huge_nullity_encoding () in
   let s = Signal.of_changes ~m:70 [ 3; 11; 19; 33; 52; 60; 65 ] in
   let en = Logger.abstract e s in
-  Alcotest.(check int) "k = 7 (mitm incapable)" 7 (Log_entry.k en);
+  Alcotest.(check int) "k = 7" 7 (Log_entry.k en);
   let q = Query.make ~answer:Query.First e en in
   (* forced linear: incapable, must silently fall through to SAT *)
   let outcome, report = Plan.run ~engine:`Linear q in
@@ -145,13 +145,63 @@ let test_huge_nullity_falls_through () =
       Alcotest.(check bool) "witness abstracts back" true
         (Log_entry.equal en (Logger.abstract e w))
   | _ -> Alcotest.fail "expected a witness");
-  (* auto: the policy must avoid linear by construction *)
+  (* auto: the policy must avoid linear by construction; the meet's
+     C(70,4) probes (2^19.8) undercut SAT, so it takes the query *)
   let _, report = Plan.run q in
-  Alcotest.(check string) "auto avoids linear" "sat" report.Plan.chosen;
+  Alcotest.(check string) "auto avoids linear" "mitm" report.Plan.chosen;
+  (* at k ≥ 7 the meet takes First only: a Check or a capped Enumerate
+     would build the whole preimage, about C(70,7)/2^7 ≈ 9.4·10⁶
+     signals here, so auto — and admission, which prices auto's
+     choice — leaves both to SAT. Priced rather than run: SAT takes
+     over a minute on them here. *)
+  let session = Plan.session e in
+  let price answer = Plan.cost_estimate session (Query.make ~answer e en) in
+  Alcotest.(check (float 1e-9)) "first priced as the meet"
+    (Engine.mitm_cost_bits ~m:70 ~k:7) (price Query.First);
+  List.iter
+    (fun (what, answer) ->
+      Alcotest.(check (float 1e-9)) (what ^ " priced as SAT")
+        Sat_reconstruct.cost_baseline (price answer))
+    [
+      ("check", Query.Check (Property.deadline ~count:1 ~before:35));
+      ("enumerate <= 10", Query.Enumerate { max_solutions = Some 10 });
+    ];
   (* and the typed shorthand (planned path) must not raise either *)
   match Plan.first e en with
   | `Signal _ -> ()
   | _ -> Alcotest.fail "Plan.first expected a witness"
+
+(* Past the SAT price but under [feasible]'s probe cap, the meet still
+   answers a k ≥ 7 First faster than SAT, with a witness (b = 16) and
+   without one (one flipped bit, b far above log₂ C(m,k)); see
+   EXPERIMENTS.md. Auto takes both at k = 7, m = 100 and k = 8, m = 56,
+   C(m, k − 3) = 2^21.9 probes each. *)
+let test_meet_past_sat_price () =
+  List.iter
+    (fun (m, k, b_empty) ->
+      List.iter
+        (fun (b, flipped) ->
+          let e = Encoding.random_constrained ~seed:11 ~m ~b () in
+          let rng = Random.State.make [| m; k; b |] in
+          let en = Logger.abstract e (Signal.random rng ~m ~k) in
+          let en =
+            if flipped then Fault.flip_tp en ~bits:[ Random.State.int rng b ]
+            else en
+          in
+          let what = Printf.sprintf "m = %d, k = %d, b = %d" m k b in
+          Alcotest.(check bool) (what ^ ": over the SAT price") false
+            (Sat_reconstruct.meet_wins e ~k ~flips:0);
+          let outcome, report = Plan.run (Query.make ~answer:Query.First e en) in
+          Alcotest.(check string) (what ^ ": auto picks mitm") "mitm"
+            report.Plan.chosen;
+          match (outcome, flipped) with
+          | Engine.Verdict (`Signal w), false ->
+              Alcotest.(check bool) (what ^ ": witness abstracts back") true
+                (Log_entry.equal en (Logger.abstract e w))
+          | Engine.Verdict `Unsat, true -> ()
+          | _ -> Alcotest.failf "%s: unexpected verdict" what)
+        [ (16, false); (b_empty, true) ])
+    [ (100, 7, 42); (56, 8, 40) ]
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: batch rank-refutes inconsistent entries for free         *)
@@ -212,7 +262,16 @@ let test_planner_choices () =
   Alcotest.(check string) "k>4, small nullity -> linear" "linear"
     (run ~k_changes:[ 0; 2; 4; 6; 8 ] ());
   Alcotest.(check string) "properties veto mitm" "linear"
-    (run ~assume:[ Property.deadline ~count:2 ~before:9 ] ~k_changes:[ 1; 4 ] ())
+    (run ~assume:[ Property.deadline ~count:2 ~before:9 ] ~k_changes:[ 1; 4 ] ());
+  (* k ≥ 7: the meet answers First only, even where it is cheap *)
+  let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m:32 () in
+  let en = Logger.abstract e (Signal.random (Random.State.make [| 7 |]) ~m:32 ~k:7) in
+  let chosen answer = (snd (Plan.run (Query.make ~answer e en))).Plan.chosen in
+  Alcotest.(check string) "k = 7 first -> mitm" "mitm" (chosen Query.First);
+  Alcotest.(check string) "k = 7 check -> sat" "sat"
+    (chosen (Query.Check (Property.deadline ~count:1 ~before:16)));
+  Alcotest.(check string) "k = 7 enumerate <= 10 -> sat" "sat"
+    (chosen (Query.Enumerate { max_solutions = Some 10 }))
 
 let test_run_stream () =
   let e = rank_deficient_encoding () in
@@ -400,11 +459,11 @@ let test_stream_bursts () =
   let e = Encoding.random_constrained ~m ~b:12 ~seed:7 () in
   let st = Random.State.make [| 0xB0057 |] in
   let entry k = Logger.abstract e (Signal.random st ~m ~k) in
-  (* a fast-path prefix, then SAT-routed k = 7 entries (past MITM's
+  (* a fast-path prefix, then SAT-routed k = 9 entries (past MITM's
      reach) mixed with more fast ones — enough to fill two SAT chunks *)
   let prefix = List.init 4 (fun i -> entry (1 + (i mod 3))) in
   let rest =
-    List.concat (List.init 10 (fun i -> [ entry 7; entry (1 + (i mod 4)) ]))
+    List.concat (List.init 10 (fun i -> [ entry 9; entry (1 + (i mod 4)) ]))
   in
   let s = Plan.session e in
   let line = Tp_service.Render.entry_line in
@@ -470,6 +529,8 @@ let () =
         [
           Alcotest.test_case "huge nullity falls through to SAT" `Quick
             test_huge_nullity_falls_through;
+          Alcotest.test_case "k >= 7 meet past the SAT price" `Quick
+            test_meet_past_sat_price;
           Alcotest.test_case "session table memoized" `Quick
             test_session_table_memoized;
           Alcotest.test_case "session design check" `Quick

@@ -187,6 +187,54 @@ let test_cache_wearout () =
        ~fingerprint:"fp"
     = None)
 
+(* A result survives exactly [capacity − 1] newer stores on its design
+   and wears out with the [capacity]-th; stores on another design do
+   not age it, and every wear-out, sweep and invalidation is counted. *)
+let test_cache_wears_out_exactly () =
+  let capacity = 4 in
+  let c = Result_cache.create ~capacity () in
+  let enc = enc_seed 7 in
+  let e0 = entry_k enc 1 in
+  let newer = Array.init (3 * capacity) (fun i -> entry_k enc (2 + (i mod 4))) in
+  let fp i = Printf.sprintf "fp%d" i in
+  let hit () =
+    Result_cache.lookup c ~design:"d" enc e0 ~fingerprint:"fp" <> None
+  in
+  Result_cache.store c ~design:"d" enc e0 ~fingerprint:"fp"
+    (Engine.Count (0, `Exact));
+  for i = 0 to 5 do
+    Result_cache.store c ~design:"other" enc newer.(i) ~fingerprint:(fp i)
+      (Engine.Count (i, `Exact))
+  done;
+  for i = 0 to capacity - 2 do
+    Result_cache.store c ~design:"d" enc newer.(i) ~fingerprint:(fp i)
+      (Engine.Count (i, `Exact));
+    Alcotest.(check bool)
+      (Printf.sprintf "alive after %d newer" (i + 1))
+      true (hit ())
+  done;
+  Result_cache.store c ~design:"d" enc newer.(capacity - 1)
+    ~fingerprint:(fp (capacity - 1)) (Engine.Count (0, `Exact));
+  Alcotest.(check bool) "worn out after capacity newer" false (hit ());
+  let s = Result_cache.stats c in
+  Alcotest.(check int) "one eviction" 1 s.Result_cache.evictions;
+  Alcotest.(check int) "entries: d's 4 newer + other's 6" 10 s.Result_cache.entries;
+  (* past 2 × capacity, the store sweeps the worn-out keys *)
+  for i = capacity to (3 * capacity) - 1 do
+    Result_cache.store c ~design:"d" enc newer.(i) ~fingerprint:(fp i)
+      (Engine.Count (i, `Exact))
+  done;
+  let s = Result_cache.stats c in
+  Alcotest.(check int) "sweep counted" (1 + capacity + 1) s.Result_cache.evictions;
+  Alcotest.(check int) "entries after sweep" (2 * capacity - 1 + 6)
+    s.Result_cache.entries;
+  Result_cache.invalidate c ~design:"d";
+  let s' = Result_cache.stats c in
+  Alcotest.(check int) "invalidate counts every key"
+    (s.Result_cache.evictions + (2 * capacity) - 1)
+    s'.Result_cache.evictions;
+  Alcotest.(check int) "other design untouched" 6 s'.Result_cache.entries
+
 (* ------------------------------------------------------------------ *)
 (* Service end to end                                                  *)
 
@@ -541,7 +589,11 @@ let () =
             test_admission_backpressure;
         ] );
       ( "cache",
-        [ Alcotest.test_case "ring wear-out" `Quick test_cache_wearout ] );
+        [
+          Alcotest.test_case "ring wear-out" `Quick test_cache_wearout;
+          Alcotest.test_case "wears out exactly at capacity" `Quick
+            test_cache_wears_out_exactly;
+        ] );
       ( "service",
         [
           Alcotest.test_case "reconstruct + result cache" `Quick

@@ -752,12 +752,12 @@ let test_trace_buffer_vs_trace_db_storage () =
 
 let test_combinatorial_rejects_large_k () =
   let e = Encoding.one_hot ~m:8 in
-  let en = Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0 ]) ~k:7 in
-  Alcotest.(check bool) "k=5 supported" true (Combinatorial_reconstruct.supported ~k:5);
-  Alcotest.(check bool) "k=6 supported" true (Combinatorial_reconstruct.supported ~k:6);
-  Alcotest.(check bool) "k=7 unsupported" false (Combinatorial_reconstruct.supported ~k:7);
+  let en = Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0 ]) ~k:9 in
+  Alcotest.(check bool) "k=7 supported" true (Combinatorial_reconstruct.supported ~k:7);
+  Alcotest.(check bool) "k=8 supported" true (Combinatorial_reconstruct.supported ~k:8);
+  Alcotest.(check bool) "k=9 unsupported" false (Combinatorial_reconstruct.supported ~k:9);
   Alcotest.check_raises "raises"
-    (Invalid_argument "Combinatorial_reconstruct: k > 6 unsupported") (fun () ->
+    (Invalid_argument "Combinatorial_reconstruct: k > 8 unsupported") (fun () ->
       ignore (Combinatorial_reconstruct.preimage e en))
 
 let test_combinatorial_fig4 () =
