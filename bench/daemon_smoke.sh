@@ -3,12 +3,12 @@
 # a temp socket, register a design both ways (compile on load, and
 # from a pack file), stream a log, and require the daemon's verdict
 # lines to be byte-identical to the one-shot CLI's — for jobs=1 and
-# jobs=2. A second, repair=1 log sends most entries to SAT, so its
-# response leaves the daemon in several flushed bursts; its bytes
-# must equal the CLI's too. Also pins the admission contract on the
-# wire: an over-quota tenant gets a structured err line while an
-# in-budget request on the same socket completes. Ends with a
-# protocol-level clean shutdown.
+# jobs=2. A second, repair=1 log leaves nine entries to the solver in
+# two chunks, so its response leaves the daemon in several flushed
+# bursts; its bytes must equal the CLI's too. Also pins the admission
+# contract on the wire: an over-quota tenant gets a structured err
+# line while an in-budget request on the same socket completes. Ends
+# with a protocol-level clean shutdown.
 set -eu
 
 cli=$1
@@ -44,14 +44,14 @@ entry() {
 } > "$log"
 
 # the same entry with its first timeprint bit flipped: no exact-k
-# witness explains it, so only SAT's repair ladder can
+# witness explains it, so only the repair ladder can
 flip() {
   entry "$1" | awk '{ b = substr($1, 1, 1) == "0" ? "1" : "0"; print b substr($1, 2), $2 }'
 }
 
-# repair log: the fast-path prefix above, then flipped entries and
-# k=9 entries (past MITM's reach) — twelve SAT-routed entries, two
-# SAT chunks — and a last fast one
+# repair log: the fast-path prefix above, then flipped entries (the
+# meet answers their rung 1) and nine k=9 entries (past MITM's reach)
+# — two solver chunks — and a last fast one
 rlog="$dir/rlog"
 {
   cat "$log"
@@ -67,6 +67,8 @@ rlog="$dir/rlog"
   entry 01010001001010000010000010010010
   entry 00011000110011000110000000001000
   entry 00010100000100000111010000100010
+  entry 10010010001000100100010000100010
+  entry 00101000100100010001001001000100
   entry 00000000000000000000000000011000
 } > "$rlog"
 

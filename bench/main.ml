@@ -2216,11 +2216,6 @@ let kernels_bench ~full ~smoke () =
   Format.printf
     "@.== Blocked F2 kernels: M4RI rref, pack tables, MITM vs SAT ==@.";
   let reps = if smoke then 5 else 9 in
-  let with_policy p f =
-    let saved = FM.rref_policy () in
-    FM.set_rref_policy p;
-    Fun.protect ~finally:(fun () -> FM.set_rref_policy saved) f
-  in
   (* the ISSUE-level speed bars gate on the median over the m >= 128
      cells of a family — robust to one noisy cell, honest about the
      trend *)
@@ -2300,8 +2295,8 @@ let kernels_bench ~full ~smoke () =
   in
   let pack_ms = [ 128; 256 ] in
   let pack_sps = ref [] in
-  Format.printf "@.%-12s %10s %10s %8s %10s %10s@." "pack" "legacy" "kernel"
-    "speedup" "compile" "compile-nv";
+  Format.printf "@.%-12s %10s %10s %8s %10s@." "pack" "legacy" "kernel"
+    "speedup" "compile";
   List.iter
     (fun m ->
       let enc = encoding_for m in
@@ -2324,31 +2319,14 @@ let kernels_bench ~full ~smoke () =
       in
       let sp = if kernel_s > 0. then legacy_s /. kernel_s else -1. in
       pack_sps := (m, sp) :: !pack_sps;
-      let compile_med () =
+      let compile_s =
         median
           (List.init reps (fun _ ->
                fst (time (fun () -> ignore (Pack.compile enc)))))
       in
-      let compile_s = with_policy `Auto compile_med in
-      let compile_naive_s = with_policy `Naive compile_med in
-      (* answers must not observe the policy knob: a short mixed-k
-         stream (rank refutations, MITM hits, SAT residue) both ways *)
-      let st = Random.State.make [| 0x517e; m |] in
-      let entries =
-        List.concat_map
-          (fun k ->
-            List.init 2 (fun _ -> Logger.abstract enc (Signal.random st ~m ~k)))
-          [ 2; 3; 5; 6; 8 ]
-      in
-      let stream () =
-        Plan.run_stream ~conflict_budget:!conflict_budget enc entries
-      in
-      if with_policy `Naive stream <> with_policy `Auto stream then
-        failwith "kernels: stream answers depend on the rref policy";
-      Format.printf "%-12s %a %a %7.1fx %a %a@."
+      Format.printf "%-12s %a %a %7.1fx %a@."
         (Printf.sprintf "m=%d b=%d" m b)
-        pp_time legacy_s pp_time kernel_s sp pp_time compile_s pp_time
-        compile_naive_s;
+        pp_time legacy_s pp_time kernel_s sp pp_time compile_s;
       kn_cells :=
         {
           kn_kind = "pack-kernel";
@@ -2358,12 +2336,7 @@ let kernels_bench ~full ~smoke () =
           kn_detail = "shared reduction + half-sum tables";
           kn_new_s = kernel_s;
           kn_ref_s = legacy_s;
-          kn_extra =
-            [
-              ("compile_s", Bench_json.time_s compile_s);
-              ("compile_naive_s", Bench_json.time_s compile_naive_s);
-              ("stream_identical", Bench_json.Bool true);
-            ];
+          kn_extra = [ ("compile_s", Bench_json.time_s compile_s) ];
         }
         :: !kn_cells)
     pack_ms;

@@ -15,13 +15,11 @@
    binary XORs so every DIMACS variable stays reportable in `v` lines.
    [-no-presolve] skips that; [-no-gauss] turns the in-solver Gauss
    engine off (it is otherwise in auto mode); [-no-inprocess] disables
-   the between-restart clause-database simplification; [-no-m4ri]
-   forces the naive F2 row-reduction kernel (for A/B timing against
-   the blocked Four-Russians one the presolve uses by default). *)
+   the between-restart clause-database simplification. *)
 
 let usage =
   "usage: tpsat [-budget N] [-models N] [-assume \"LITS\"] [-stats] \
-   [-no-gauss] [-no-presolve] [-no-inprocess] [-no-m4ri] [FILE | -]"
+   [-no-gauss] [-no-presolve] [-no-inprocess] [FILE | -]"
 
 (* Gauss–Jordan-reduce the unguarded XOR rows of [cnf] at the formula
    level. Units and aliases are added back as unit clauses / binary
@@ -99,9 +97,6 @@ let () =
         parse rest
     | "-no-inprocess" :: rest ->
         inprocess := false;
-        parse rest
-    | "-no-m4ri" :: rest ->
-        Tp_bitvec.F2_matrix.set_rref_policy `Naive;
         parse rest
     | [ p ] -> path := Some p
     | _ ->

@@ -369,25 +369,15 @@ let rref_rows_m4ri rows_arr ~cols:ncols =
     List.rev !pivots
   end
 
-(* ---- Kernel policy --------------------------------------------------- *)
-
-type rref_policy = [ `Auto | `Naive | `M4ri ]
-
-let policy = ref (`Auto : rref_policy)
-let set_rref_policy p = policy := p
-let rref_policy () = !policy
+(* ---- Kernel dispatch ------------------------------------------------- *)
 
 (* Below this the Gray-table setup costs more than it saves. *)
 let m4ri_threshold = 24
 
 let rref_rows rows_arr ~cols =
-  match !policy with
-  | `Naive -> rref_rows_naive rows_arr ~cols
-  | `M4ri -> rref_rows_m4ri rows_arr ~cols
-  | `Auto ->
-      if Array.length rows_arr >= m4ri_threshold && cols >= m4ri_threshold then
-        rref_rows_m4ri rows_arr ~cols
-      else rref_rows_naive rows_arr ~cols
+  if Array.length rows_arr >= m4ri_threshold && cols >= m4ri_threshold then
+    rref_rows_m4ri rows_arr ~cols
+  else rref_rows_naive rows_arr ~cols
 
 let eliminate rows_arr ncols = rref_rows rows_arr ~cols:ncols
 

@@ -67,10 +67,11 @@ val rref_rows : Bitvec.t array -> cols:int -> (int * int) list
     columns ride along under the row operations. This is the workhorse
     behind the SAT-side XOR presolve and the in-solver Gauss engine.
 
-    Dispatches between the naive sweep and the blocked
-    Method-of-Four-Russians kernel according to {!rref_policy}; the two
-    kernels produce byte-identical rows and pivots, so the choice never
-    changes results, only speed. *)
+    Dispatches by size: the blocked Method-of-Four-Russians kernel when
+    both the row count and [cols] reach its profitability threshold
+    (24), the naive sweep below it. The two kernels produce
+    byte-identical rows and pivots, so the choice never changes
+    results, only speed. *)
 
 val rref_rows_naive : Bitvec.t array -> cols:int -> (int * int) list
 (** The column-at-a-time Gauss–Jordan sweep, unconditionally. *)
@@ -82,16 +83,6 @@ val rref_rows_m4ri : Bitvec.t array -> cols:int -> (int * int) list
     XOR per remaining row per block. Byte-identical output to
     {!rref_rows_naive} (same pivots, same reduced rows), roughly κ×
     fewer row XOR passes. All rows must share one width [≥ cols]. *)
-
-type rref_policy = [ `Auto | `Naive | `M4ri ]
-(** [`Auto] uses the M4RI kernel when both the row count and [cols]
-    reach the profitability threshold (24), the naive sweep below it. *)
-
-val set_rref_policy : rref_policy -> unit
-(** Process-global policy knob for {!rref_rows} — the [-no-m4ri]-style
-    A/B switch used by the CLI and the kernel bench. *)
-
-val rref_policy : unit -> rref_policy
 
 val rank : t -> int
 

@@ -3,10 +3,11 @@ open Timeprint
 (* A result is filed under one string — the timeprint bits, k and the
    query fingerprint — and stamped with the number of stores its
    design's shard had seen before it. A per-shard counter stands in for
-   the paper's "stored until they wear out" ring (Trace_db): a result
-   wears out once [capacity] newer stores have landed on its design,
-   exactly when a [capacity]-slot ring would have overwritten its
-   entry — without keeping the entry itself, which no lookup reads. *)
+   the paper's store, where log entries are "stored until they wear
+   out" in a bounded ring: a result wears out once [capacity] newer
+   stores have landed on its design, exactly when a [capacity]-slot
+   ring would have overwritten its entry — without keeping the entry
+   itself, which no lookup reads. *)
 type slot = { s_cycle : int; s_outcome : Engine.outcome }
 
 type shard = {

@@ -1,9 +1,9 @@
 (** Reconstructed-trace cache: a repeat query over the same (design,
     log entry, query) key is a table lookup, not a solver run.
 
-    Per design, results wear out the way the paper's store keeps its
-    log entries — "stored until they wear out" in a bounded ring
-    ({!Timeprint.Trace_db}): each result is stamped with its position
+    Per design, results wear out the way the paper's store (Figure 3)
+    keeps its log entries — "stored until they wear out" in a bounded
+    ring: each result is stamped with its position
     in the design's sequence of stores, and is gone once [capacity]
     newer results have been stored for that design, exactly when a
     [capacity]-slot ring would have overwritten its entry. Only the

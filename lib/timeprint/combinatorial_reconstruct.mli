@@ -39,11 +39,12 @@ val cost_bits : m:int -> k:int -> float
     count [log₂ C(m, k − h)] with [h = min 3 ⌈k/2⌉] — a probe is two
     directory slot reads and a scan of a few entries, [O(1)], one step.
     At [m = 32]: 5.0, 8.95, 8.95, 12.3, 15.1 and 17.6 bits for
-    [k = 3 … 8]. A function of [(m, k)] alone. The planner's stream
-    fast path and the repair ladder of {!Sat_reconstruct.batch}
-    compare it against {!Sat_reconstruct.cost_baseline}
-    ({!Sat_reconstruct.meet_wins}); the single-query planner ranks it
-    against the coset engine's ({!Engine.mitm}). *)
+    [k = 3 … 8]. A function of [(m, k)] alone. The repair ladder's
+    meet step ({!Sat_reconstruct.meet_step}), whose rung 0 is the
+    stream's fast path, compares it against
+    {!Sat_reconstruct.cost_baseline} ({!Sat_reconstruct.meet_wins});
+    the single-query planner ranks it against the coset engine's
+    ({!Engine.mitm}). *)
 
 type table
 (** The meet-in-the-middle half-sum tables: per-index keys plus the

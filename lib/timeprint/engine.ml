@@ -139,6 +139,23 @@ let parallelizable (q : Query.t) =
 let sat_problem (q : Query.t) =
   Sat_reconstruct.problem ~assume:q.assume q.encoding q.entry
 
+(* A ladder witness [s] as a repair: the flipped bits are those of
+   [TP ⊕ A·s], the counter deviation is [|s| − k]. *)
+let repair_verdict (q : Query.t) = function
+  | `Signal s ->
+      let flips =
+        Bitvec.indices
+          (Bitvec.logxor (Log_entry.tp q.entry)
+             (Log_entry.tp (Logger.abstract q.encoding s)))
+      in
+      let k_delta = Signal.num_changes s - Log_entry.k q.entry in
+      if flips = [] && k_delta = 0 then `Clean s
+      else
+        `Repaired
+          { Sat_reconstruct.r_signal = s; r_flips = flips; r_k_delta = k_delta }
+  | `Unsat -> `Unrepairable
+  | `Unknown -> `Unknown
+
 let sat =
   {
     name = "sat";
@@ -152,7 +169,7 @@ let sat =
             Sat_reconstruct.cost_baseline +. float_of_int max_flips
         | _ -> Sat_reconstruct.cost_baseline);
     run =
-      (fun _ctx q ->
+      (fun ctx q ->
         let pb = sat_problem q in
         let budget = q.conflict_budget in
         let gauss_detail =
@@ -188,11 +205,37 @@ let sat =
             let c = Sat_reconstruct.first_certified ?conflict_budget:budget pb in
             (Certified c, [ stage "sat.certified" ])
         | Query.Repair { max_flips; k_slack } ->
-            let r, stats =
-              Sat_reconstruct.solve_repair ?conflict_budget:budget ~k_slack
-                ~max_flips pb
+            let table =
+              match ctx.table with
+              | Some t -> t
+              | None -> lazy (Combinatorial_reconstruct.pair_table q.encoding)
             in
-            (Repair r, [ stage ?stats "sat.repair" ]));
+            let verdict, route, stats =
+              match
+                Sat_reconstruct.meet_step ~assume:q.assume ~k_slack
+                  ~repair:max_flips
+                  ~shared:(lazy (Presolve.shared q.encoding))
+                  ~table q.encoding q.entry
+              with
+              | Sat_reconstruct.Answered (v, _, `Presolve) ->
+                  (v, "presolve", None)
+              | Sat_reconstruct.Answered (v, _, `Mitm) -> (v, "mitm", None)
+              | Sat_reconstruct.Pending p -> (
+                  match
+                    Sat_reconstruct.solver_step ~assume:q.assume
+                      ?conflict_budget:budget q.encoding [ p ]
+                  with
+                  | [ (v, _, st) ] -> (v, "sat", Some st)
+                  | _ -> assert false)
+            in
+            ( Repair (repair_verdict q verdict),
+              [
+                {
+                  stage = "sat.repair";
+                  detail = "ladder answered by " ^ route;
+                  stats;
+                };
+              ] ));
   }
 
 (* ------------------------------------------------------------------ *)

@@ -95,7 +95,11 @@ val parallelizable : Query.t -> (unit, string) result
 val sat : t
 (** The CDCL + XOR + cardinality oracle. Capable of everything,
     including [Certified] and [Repair]; runs with [presolve = true] and
-    the [auto_gauss] policy. *)
+    the [auto_gauss] policy. A [Repair] climbs the repair ladder
+    ({!Sat_reconstruct.meet_step}, then {!Sat_reconstruct.solver_step}
+    on the one entry), so its bottom rungs run on the meet against the
+    context's table; the repair's flipped bits are those of [TP ⊕ A·s]
+    for the witness [s], its counter deviation [|s| − k]. *)
 
 val linear : t
 (** Coset enumeration over [x₀ + ker A]. Capable when the nullity is at

@@ -27,25 +27,18 @@ let chunk_list size xs =
   in
   go [] [] 0 xs
 
-let batch_emit ?assume ?presolve ?conflict_budget ?gauss ?repair ?shared ?warm
-    ?jobs encoding entries ~emit =
-  let batch ?shared chunk =
-    Sat_reconstruct.batch ?assume ?presolve ?conflict_budget ?gauss ?repair
-      ?shared ?warm encoding chunk
+let batch_emit ?assume ?conflict_budget ?warm ?jobs encoding pending ~emit =
+  let solve chunk =
+    Sat_reconstruct.solver_step ?assume ?conflict_budget ?warm encoding chunk
   in
   match jobs with
-  | None -> emit 0 (batch ?shared entries)
+  | None -> emit 0 (solve pending)
   | Some jobs ->
+      (* the warm skeleton is read-only: each chunk clones its own
+         solver from the one snapshot *)
       let pool = Pool.get ~jobs:(resolve_jobs jobs) in
-      (* the encoding-only half of the rank check: computed once here
-         (or handed in, e.g. from a design pack), shared read-only by
-         every chunk worker. The warm skeleton is likewise read-only:
-         each chunk clones its own solver from the one snapshot. *)
-      let shared =
-        match shared with Some s -> s | None -> Presolve.shared encoding
-      in
-      Pool.map_emit pool (batch ~shared)
-        (Array.of_list (chunk_list default_chunk entries))
+      Pool.map_emit pool solve
+        (Array.of_list (chunk_list default_chunk pending))
         ~emit:(fun chunk results -> emit (chunk * default_chunk) results)
 
 (* ------------------------------------------------------------------ *)

@@ -4,15 +4,14 @@
     Two orthogonal fan-outs, both with results that are {e independent
     of the pool size by construction}:
 
-    - {b entry-level} ({!batch_emit}): a log is cut into fixed-size
-      chunks (the chunk size never depends on [jobs]), each chunk is
-      reconstructed by its own parity-select batch solver
-      ({!Sat_reconstruct.batch}) on whichever domain picks it up, and
-      each chunk's results are handed back with the chunk's position
-      in the log. The CDCL solver is mutable and single-owner, so each
-      domain owns its chunk's solver outright; the only shared state —
-      the F₂ rank check of the encoding ({!Presolve.shared}) — is
-      computed once and read-only.
+    - {b entry-level} ({!batch_emit}): the entries a stream's meet
+      step left pending are cut into fixed-size chunks (the chunk size
+      never depends on [jobs]), each chunk's remaining rungs run on its
+      own parity-select solver ({!Sat_reconstruct.solver_step}) on
+      whichever domain picks it up, and each chunk's results are handed
+      back with the chunk's position in the list. The CDCL solver is
+      mutable and single-owner, so each domain owns its chunk's solver
+      outright; the only shared state, the warm skeleton, is read-only.
     - {b query-level} ({!run_query}): one hard [First]/[Enumerate]/
       [Count] query is split into [2^d] cubes over the top-ranked
       splitting variables ({!Sat_reconstruct.cubes}); cubes solve
@@ -34,28 +33,24 @@ val resolve_jobs : int -> int
 
 val batch_emit :
   ?assume:Property.t list ->
-  ?presolve:bool ->
   ?conflict_budget:int ->
-  ?gauss:bool ->
-  ?repair:int ->
-  ?shared:Presolve.shared ->
   ?warm:Sat_reconstruct.warm ->
   ?jobs:int ->
   Encoding.t ->
-  Log_entry.t list ->
+  Sat_reconstruct.pending list ->
   emit:
     (int ->
     (Sat_reconstruct.verdict * Sat_reconstruct.health * Tp_sat.Solver.stats)
     list ->
     unit) ->
   unit
-(** {!Sat_reconstruct.batch} over a log, scheduled in chunks: each
-    chunk's result list is handed to [emit first results], where
-    [first] is the index in [entries] of the chunk's first entry.
+(** {!Sat_reconstruct.solver_step} over pending entries, scheduled in
+    chunks: each chunk's result list is handed to [emit first results],
+    where [first] is the index in [pending] of the chunk's first entry.
 
-    Without [jobs] the whole log is one chunk, solved inline on the
-    caller by exactly one [Sat_reconstruct.batch] call, and [emit 0]
-    runs once. With [jobs] the log is cut into chunks of
+    Without [jobs] the whole list is one chunk, solved inline on the
+    caller by exactly one [Sat_reconstruct.solver_step] call, and
+    [emit 0] runs once. With [jobs] the list is cut into chunks of
     {!default_chunk} entries, each solved on the domain pool by a fresh
     parity-select solver; [jobs = 0] means
     [Domain.recommended_domain_count ()]. Calls to [emit] are then
@@ -65,10 +60,8 @@ val batch_emit :
     the union of emitted results is byte-identical across pool sizes
     (a chunked run may report a different witness than the one-chunk
     run for a satisfiable entry, never a different verdict kind or
-    health). [shared] hands in the read-only rank-check reduction
-    (computed once per call otherwise); [warm] is a compiled skeleton
-    each chunk clones its solver from, with the eligibility rule of
-    {!Sat_reconstruct.batch}. *)
+    health). [warm] is a compiled skeleton each chunk clones its solver
+    from, with the eligibility rule of {!Sat_reconstruct.solver_step}. *)
 
 type cube_summary = {
   cs_jobs : int;  (** pool lanes used *)

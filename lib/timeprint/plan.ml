@@ -259,9 +259,10 @@ let run_in ?(engine = `Auto) ?jobs (s : session) (q : Query.t) =
           match q.answer with
           | Query.Repair { max_flips; _ } when max_flips > 0 ->
               (* the clean system is inconsistent, but the query brought
-                 an error budget: only SAT can search the relaxation.
-                 The rank refutation still pays for itself — the repair
-                 encoding skips every zero-flip split. *)
+                 an error budget: the repair ladder, which the SAT
+                 adapter runs, searches the relaxation. Its meet rungs
+                 go first, and the rank refutation still pays for
+                 itself — the ladder skips every zero-flip rung. *)
               let considered =
                 [ ("sat", `Cost (Engine.sat.Engine.cost_bits ctx q)) ]
               in
@@ -363,49 +364,30 @@ let cost_estimate (s : session) (q : Query.t) =
   | c :: _ -> c
   | [] -> Engine.sat.Engine.cost_bits ctx q
 
-let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
-    ?jobs ?(flush = ignore) (s : session) entries ~emit =
+let run_stream_emit ?assume ?conflict_budget ?(repair = 0) ?jobs
+    ?(flush = ignore) (s : session) entries ~emit =
   if repair < 0 then invalid_arg "Plan.run_stream_emit: negative repair budget";
   let encoding = s.ses_encoding in
   let entries = Array.of_list entries in
   let n = Array.length entries in
   let out = Array.make n None in
-  let sat_idx = ref [] in
-  (* the session supplies the whole per-stream setup — rank-check
-     masks, MITM half-sum tables, warm solver skeleton — compiled once
-     per design (from a pack on a hit, lazily memoized otherwise) *)
-  let table = s.ses_table in
-  let warm = s.ses_warm in
-  (* which entries take the MITM fast path: the repair ladder's rung-0
-     price — any feasible k ≤ 4, and k ∈ [5, 8] only when the meet's
-     probe count still beats a warm SAT solve *)
-  let mitm_fast k = Sat_reconstruct.meet_wins encoding ~k ~flips:0 in
-  (* encoding-only half of the rank check: one reduction for the whole
-     stream (and, with [jobs], the read-only copy every chunk worker
-     shares) *)
-  let shared = Lazy.force s.ses_shared in
+  (* the meet step on this domain, from the session's rank-check
+     masks and MITM table (compiled once per design), so no worker ever
+     forces the table's lazy triple half; only the entries it leaves
+     pending fan out to the solver *)
+  let pending = ref [] in
   Array.iteri
     (fun i e ->
-      if Presolve.refutes_with shared e then
-        (* inconsistent as logged: quarantined outright without a
-           budget, SAT's repair ladder with one *)
-        if repair = 0 then
-          out.(i) <- Some (`Unsat, Sat_reconstruct.Quarantined, `Presolve)
-        else sat_idx := i :: !sat_idx
-      else if assume = [] && mitm_fast (Log_entry.k e) then
-        match
-          Combinatorial_reconstruct.first ~table:(Lazy.force table) encoding e
-        with
-        | Some s -> out.(i) <- Some (`Signal s, Sat_reconstruct.Clean, `Mitm)
-        | None ->
-            (* linearly consistent yet no exact-k witness: cardinality
-               UNSAT, which only the repair ladder can explain away *)
-            if repair = 0 then
-              out.(i) <- Some (`Unsat, Sat_reconstruct.Quarantined, `Mitm)
-            else sat_idx := i :: !sat_idx
-      else sat_idx := i :: !sat_idx)
+      match
+        Sat_reconstruct.meet_step ?assume ~repair ~shared:s.ses_shared
+          ~table:s.ses_table encoding e
+      with
+      | Sat_reconstruct.Answered (v, h, tag) ->
+          out.(i) <- Some (v, h, (tag :> [ `Presolve | `Mitm | `Sat of _ ]))
+      | Sat_reconstruct.Pending p -> pending := (i, p) :: !pending)
     entries;
-  let sat_idx = Array.of_list (List.rev !sat_idx) in
+  let sat_idx, pending = List.split (List.rev !pending) in
+  let sat_idx = Array.of_list sat_idx in
   (* Emission is strictly in entry order: slot [i] goes out only once
      every slot below it has. Chunks completing out of order buffer in
      [out] until the prefix is ready, so the emitted stream is
@@ -422,18 +404,14 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
     if !next > first then flush ()
   in
   drain ();
-  if sat_idx <> [||] then
-    (* Classification above is sequential and jobs-independent; only
-       the SAT leftovers fan out (with [jobs], in fixed-size chunks), so
+  if pending <> [] then
+    (* the meet step is sequential and jobs-independent; only the
+       pending entries fan out (with [jobs], in fixed-size chunks), so
        the merged triage is identical for every pool size. Each chunk's
        results land, and the ready prefix is emitted, the moment that
-       chunk completes. With a repair budget the batch re-runs the rank
-       check so its ladder can skip the zero-flip rung of refuted
-       entries; with none, every surviving entry already passed it. *)
-    Par_reconstruct.batch_emit ~assume ~presolve:(repair > 0)
-      ?conflict_budget ?gauss ~repair ~shared ?warm ?jobs encoding
-      (Array.to_list (Array.map (fun i -> entries.(i)) sat_idx))
-      ~emit:(fun first results ->
+       chunk completes. *)
+    Par_reconstruct.batch_emit ?assume ?conflict_budget ?warm:s.ses_warm ?jobs
+      encoding pending ~emit:(fun first results ->
         List.iteri
           (fun off (v, h, st) ->
             out.(sat_idx.(first + off)) <- Some (v, h, `Sat st))
@@ -441,16 +419,15 @@ let run_stream_emit ?(assume = []) ?conflict_budget ?gauss ?(repair = 0)
         drain ());
   assert (!next = n)
 
-let run_stream_in ?assume ?conflict_budget ?gauss ?repair ?jobs s entries =
+let run_stream_in ?assume ?conflict_budget ?repair ?jobs s entries =
   let acc = ref [] in
-  run_stream_emit ?assume ?conflict_budget ?gauss ?repair ?jobs s entries
+  run_stream_emit ?assume ?conflict_budget ?repair ?jobs s entries
     ~emit:(fun _ r -> acc := r :: !acc);
   List.rev !acc
 
-let run_stream ?assume ?conflict_budget ?gauss ?repair ?jobs ?pack encoding
-    entries =
-  run_stream_in ?assume ?conflict_budget ?gauss ?repair ?jobs
-    (session ?pack encoding) entries
+let run_stream ?assume ?conflict_budget ?repair ?jobs ?pack encoding entries =
+  run_stream_in ?assume ?conflict_budget ?repair ?jobs (session ?pack encoding)
+    entries
 
 (* One stable machine-parseable line carrying the report's dispatch
    facts; the daemon's [stats] verb serves it verbatim and scripts

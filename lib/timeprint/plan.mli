@@ -207,7 +207,6 @@ val check :
 val run_stream :
   ?assume:Property.t list ->
   ?conflict_budget:int ->
-  ?gauss:bool ->
   ?repair:int ->
   ?jobs:int ->
   ?pack:Pack.t ->
@@ -218,32 +217,30 @@ val run_stream :
   * [ `Presolve | `Mitm | `Sat of Tp_sat.Solver.stats ])
   list
 (** Planned witness reconstruction of a log stream, in order: each
-    entry is rank-refuted for free when inconsistent, answered by MITM
-    when it is feasible ([k ≤ 8], triple table and probe count capped), cheaper than
-    SAT ({!Sat_reconstruct.meet_wins} at [flips = 0]) and no
-    properties are assumed, and the rest share one incremental
-    parity-select solver ({!Sat_reconstruct.batch} — the stream
-    capability the planner exploits). The tag says which path took
-    each entry; [`Sat st] carries the batch's solver work for it.
+    entry climbs the repair ladder at flip budget [repair] (default
+    [0]). Its meet step ({!Sat_reconstruct.meet_step}) rank-refutes an
+    inconsistent entry for free and, with no properties assumed,
+    answers every bottom rung {!Sat_reconstruct.meet_wins} prices on
+    the meet — at [repair = 0] the single rung is the clean lookup, the
+    stream's fast path; the entries it leaves pending share one
+    incremental parity-select solver ({!Sat_reconstruct.solver_step} —
+    the stream capability the planner exploits). The tag says which
+    step decided each entry: [`Presolve] (no rung ran), [`Mitm] (the
+    meet answered, or swept every rung in vain) or [`Sat st], with the
+    solver work spent on it.
 
-    [repair] (default [0]) is the per-entry flip budget: entries the
-    fast paths cannot explain as logged — rank-refuted, or consistent
-    but with no exact-[k] witness — are routed to the batch's repair
-    ladder instead of being failed outright. Without properties the
-    ladder answers its cheap rungs on the meet, with all-zero [st].
     The {!type:Sat_reconstruct.health} column tags each entry [Clean],
     [Repaired w] (reconstructed after inverting [w] timeprint bits) or
     [Quarantined] (no explanation within budget — one corrupted
     trace-cycle no longer poisons the log). Raises [Invalid_argument]
     on a negative budget.
 
-    [jobs] enables entry-level parallelism: the entries the fast paths
-    leave for SAT fan out over the domain pool in fixed-size chunks
+    [jobs] enables entry-level parallelism: the pending entries fan
+    out over the domain pool in fixed-size chunks
     ({!Par_reconstruct.batch_emit}), each chunk on its own
-    parity-select solver sharing one read-only presolve reduction. Classification
-    and chunking never depend on [jobs], so the triage is byte-for-byte
-    identical for every pool size; [jobs = 0] means
-    [Domain.recommended_domain_count ()].
+    parity-select solver. The meet step and the chunking never depend
+    on [jobs], so the triage is byte-for-byte identical for every pool
+    size; [jobs = 0] means [Domain.recommended_domain_count ()].
 
     [pack] offers a compiled design pack: when it matches the
     encoding, the stream starts from the pack's rank-check masks, MITM
@@ -254,7 +251,6 @@ val run_stream :
 val run_stream_in :
   ?assume:Property.t list ->
   ?conflict_budget:int ->
-  ?gauss:bool ->
   ?repair:int ->
   ?jobs:int ->
   session ->
@@ -265,14 +261,14 @@ val run_stream_in :
   list
 (** {!run_stream} against an existing session: the rank-check masks,
     MITM table and warm skeleton come from the session (compiled once
-    per design) instead of being rebuilt per stream. Triage and
-    results are byte-identical to {!run_stream} with the session's
-    pack. *)
+    per design) instead of being rebuilt per stream, and the meet step
+    runs on the calling domain, which forces the session's lazy parts.
+    Triage and results are byte-identical to {!run_stream} with the
+    session's pack. *)
 
 val run_stream_emit :
   ?assume:Property.t list ->
   ?conflict_budget:int ->
-  ?gauss:bool ->
   ?repair:int ->
   ?jobs:int ->
   ?flush:(unit -> unit) ->
@@ -287,7 +283,7 @@ val run_stream_emit :
   unit
 (** Streaming {!run_stream_in}: [emit i result] is called for every
     entry, {e strictly in entry order} (index [0] first), each as soon
-    as it and every entry before it is decided. With [jobs], SAT
+    as it and every entry before it is decided. With [jobs], solver
     chunks land as they complete on the pool and the ready prefix
     flushes immediately — a daemon can push verdicts over a socket
     while later chunks still solve — but the emitted sequence is
@@ -296,8 +292,8 @@ val run_stream_emit :
     called from pool worker domains (serialized, never concurrently)
     and must not call back into the pool.
 
-    Emission comes in bursts: the verdicts the fast paths decide form
-    the first, each SAT chunk that lands releases the next, and the
+    Emission comes in bursts: the verdicts the meet step decides form
+    the first, each solver chunk that lands releases the next, and the
     end of the stream releases the last. [flush ()] (default: nothing)
     is called once after every burst that emitted at least one entry,
     never between two entries of one burst, so a socket writer can

@@ -25,8 +25,9 @@ type answer =
   | Repair of { max_flips : int; k_slack : int }
       (** minimal-error explanation of a possibly corrupted entry: up
           to [max_flips] timeprint bit errors and a change counter off
-          by at most [k_slack] — only the SAT engine can relax its
-          constraints this way *)
+          by at most [k_slack] — only the SAT engine is capable; it
+          climbs the repair ladder, meet rungs first
+          ({!Sat_reconstruct.meet_step}) *)
 
 type t = {
   encoding : Encoding.t;

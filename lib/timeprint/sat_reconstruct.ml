@@ -367,91 +367,6 @@ let pp_repair_verdict ppf = function
   | `Unrepairable -> Format.pp_print_string ppf "unrepairable within budget"
   | `Unknown -> Format.pp_print_string ppf "unknown (budget exhausted)"
 
-(* The corrupted entry [(TP, k)] is explained by a signal [x] plus an
-   error vector [err ∈ F₂ᵇ] and a counter deviation [c]: the XOR rows
-   become [A·x = TP ⊕ err] — one error literal per timeprint bit, XORed
-   into its row — and the cardinality window [k − c .. k + c] replaces
-   [exactly k]. Two counters ({!Cardinality.counter}), one over the
-   cycle literals and one over the error literals, are built once.
-   Each budget split [(f, d)] (≤ f flips, ≤ d deviation) is then a set
-   of assumptions on their outputs: [¬(≥ f+1)] on the error counter
-   plus [{≥ k−d, ¬(≥ k+d+1)}] on the cycle counter. Only deviations
-   from [k − m] up to [max k (m − k)] are tried: below, no count reaches
-   [k − d], so the split is UNSAT without a solve; above, the window
-   already holds every count [0 .. m], so the split would repeat an
-   earlier trial. Trials run in increasing total weight [f + d]. A
-   model found at trial [(f, d)] has flip weight
-   exactly [f] and deviation exactly [d]: any cheaper split of its
-   weight was a complete earlier trial that came back UNSAT. So the
-   first SAT answer is a {e minimal-error} explanation, and the clean
-   [(0, 0)] split — disposed of for free by the rank refutation when
-   the linear system is inconsistent — makes uncorrupted entries come
-   back [`Clean] with no repair machinery engaged. *)
-let solve_repair ?conflict_budget ?(k_slack = 0) ~max_flips pb =
-  if max_flips < 0 then
-    invalid_arg "Sat_reconstruct.solve_repair: negative max_flips";
-  if k_slack < 0 then invalid_arg "Sat_reconstruct.solve_repair: negative k_slack";
-  let m = Encoding.m pb.encoding and b = Encoding.b pb.encoding in
-  let k = Log_entry.k pb.entry in
-  let max_flips = min max_flips b in
-  (* whatever k and k_slack a client sends, every bound and sum below
-     lies within −m .. m + b: none can overflow *)
-  let d_lo = max 0 (k - m) and d_hi = min k_slack (max k (m - k)) in
-  let hi d = if k >= m - d then m else k + d in
-  let refuted = Presolve.refutes pb.encoding pb.entry in
-  if (refuted && max_flips = 0) || d_lo > d_hi then (`Unrepairable, None)
-  else begin
-    let cnf = Cnf.create () in
-    let xvars = Array.init m (fun _ -> Cnf.new_var cnf) in
-    let evars = Array.init b (fun _ -> Cnf.new_var cnf) in
-    let tp = Log_entry.tp pb.entry in
-    let gauss = gauss_choice pb in
-    for j = 0 to b - 1 do
-      let vars = row_vars pb.encoding xvars ~init:[ evars.(j) ] j in
-      let parity = Bitvec.get tp j in
-      if gauss then Cnf.add_xor cnf ~vars ~parity
-      else Cnf.add_xor_chunked cnf ~vars ~parity
-    done;
-    assert_all cnf ~m xvars pb.assume;
-    let lits vars = Array.to_list (Array.map Lit.pos vars) in
-    let cycles = Cardinality.counter cnf (lits xvars) (hi d_hi + 1) in
-    let errors = Cardinality.counter cnf (lits evars) (max_flips + 1) in
-    let solver = Solver.of_cnf ~gauss cnf in
-    Solver.boost solver (Array.to_list xvars);
-    (* a split is (f, e) with deviation d = d_lo + e: ordering by
-       (f + e, e) is ordering by (f + d, d) *)
-    let splits =
-      List.concat_map
-        (fun f -> List.init (d_hi - d_lo + 1) (fun e -> (f, e)))
-        (List.init (max_flips + 1) Fun.id)
-      |> List.filter (fun (f, _) -> not (refuted && f = 0))
-      |> List.sort (fun (f1, e1) (f2, e2) ->
-             compare (f1 + e1, e1) (f2 + e2, e2))
-    in
-    let rec run = function
-      | [] -> `Unrepairable
-      | (f, e) :: rest -> (
-          let d = d_lo + e in
-          let assumptions =
-            Cardinality.within cycles ~lo:(k - d) ~hi:(hi d)
-            @ Cardinality.within errors ~lo:0 ~hi:f
-          in
-          match Solver.solve ?conflict_budget ~assumptions solver with
-          | Unknown -> `Unknown
-          | Unsat -> run rest
-          | Sat ->
-              let value = Solver.value solver in
-              let signal = signal_of_model m xvars value in
-              let flips =
-                List.filter (fun j -> value evars.(j)) (List.init b Fun.id)
-              in
-              let k_delta = Signal.num_changes signal - k in
-              if flips = [] && k_delta = 0 then `Clean signal
-              else `Repaired { r_signal = signal; r_flips = flips; r_k_delta = k_delta })
-    in
-    (run splits, Some (Solver.stats solver))
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions                                                *)
 
@@ -588,13 +503,13 @@ end
 (* ------------------------------------------------------------------ *)
 (* Compiled batch skeleton                                             *)
 
-(* The encoding-only prefix of [batch]'s construction — cycle and
-   select variables, the parity-select XOR rows, the primed and
+(* The encoding-only prefix of [solver_step]'s construction — cycle
+   and select variables, the parity-select XOR rows, the primed and
    boosted solver — compiled once and stamped out per request:
-   [batch ?warm] replays it as one [Cnf.copy] plus one [Solver.clone]
-   instead of re-encoding [A] and re-propagating it from scratch. The
-   skeleton covers exactly the default configuration (no assumed
-   properties, no repair budget, [gauss = None]); anything else
+   [solver_step ?warm] replays it as one [Cnf.copy] plus one
+   [Solver.clone] instead of re-encoding [A] and re-propagating it from
+   scratch. The skeleton covers exactly the default configuration (no
+   assumed properties, no flip rungs, [gauss = None]); anything else
    changes the shared structure itself, so such calls fall back to the
    cold construction unchanged. *)
 type warm = {
@@ -634,7 +549,7 @@ let warm_of_skeleton ~m ~b cnf =
   { w_m = m; w_b = b; w_cnf = cnf; w_snapshot = Solver.snapshot solver }
 
 (* ------------------------------------------------------------------ *)
-(* Pricing the meet against SAT                                        *)
+(* The repair ladder                                                   *)
 
 (* CDCL work has no clean analytic model; a flat price places SAT as
    the fallback once the exact engines price themselves out. *)
@@ -644,9 +559,8 @@ let cost_baseline = 20.
    solve. A single lookup at k ≤ 4 always does (at most C(m, 2)
    probes); otherwise the meet's total price — flip sets times probes
    — must undercut the SAT baseline, which at m = 32 holds for a
-   single lookup up to k = 8. The
-   planner's stream fast path asks at [flips = 0], the repair ladder
-   of [batch] at each rung. *)
+   single lookup up to k = 8. [meet_step] asks it at each rung, so at
+   [flips = 0] it is the stream's fast path. *)
 let meet_wins encoding ~k ~flips =
   let m = Encoding.m encoding and b = Encoding.b encoding in
   Combinatorial_reconstruct.feasible encoding ~k
@@ -655,88 +569,127 @@ let meet_wins encoding ~k ~flips =
      || Signal.log2_choose b flips +. Combinatorial_reconstruct.cost_bits ~m ~k
         < cost_baseline)
 
-(* Rung [f] of the repair ladder on the meet: the C(b, f) flip sets [F]
-   of weight f in lexicographic order, one exact lookup each on
+(* Rung [f] of the ladder on the meet: the C(b, f) flip sets [F] of
+   weight f in lexicographic order, one exact lookup each on
    [(TP ⊕ e_F, k)]. The first hit explains the entry with exactly f
    flipped bits. *)
 let meet_rung table encoding entry f =
-  let b = Encoding.b encoding and k = Log_entry.k entry in
-  let tp = Bitvec.copy (Log_entry.tp entry) in
-  let flip j = Bitvec.set tp j (not (Bitvec.get tp j)) in
-  let rec pick lo f =
-    if f = 0 then
-      Combinatorial_reconstruct.first ~table encoding (Log_entry.make ~tp ~k)
-    else
-      let rec from j =
-        if j > b - f then None
-        else begin
-          flip j;
-          let hit = pick (j + 1) (f - 1) in
-          flip j;
-          match hit with Some _ -> hit | None -> from (j + 1)
-        end
-      in
-      from lo
-  in
-  pick 0 f
+  if f = 0 then Combinatorial_reconstruct.first ~table encoding entry
+  else
+    let b = Encoding.b encoding and k = Log_entry.k entry in
+    let tp = Bitvec.copy (Log_entry.tp entry) in
+    let flip j = Bitvec.set tp j (not (Bitvec.get tp j)) in
+    let rec pick lo f =
+      if f = 0 then
+        Combinatorial_reconstruct.first ~table encoding (Log_entry.make ~tp ~k)
+      else
+        let rec from j =
+          if j > b - f then None
+          else begin
+            flip j;
+            let hit = pick (j + 1) (f - 1) in
+            flip j;
+            match hit with Some _ -> hit | None -> from (j + 1)
+          end
+        in
+        from lo
+    in
+    pick 0 f
 
-(* ------------------------------------------------------------------ *)
-(* Batched reconstruction over a stream of log entries                 *)
+(* An entry's rungs [(f, d)] in increasing [f + d], then [d]: at most
+   [f] flipped bits, a count within [d] of [k]. Deviations below
+   [k − m] reach no count, and above [max k (m − k)] add none, so every
+   bound lies within −m .. m + b whatever [k] and [k_slack] a client
+   sends; ordering by [e = d − d_lo] instead of [d] keeps the sums from
+   overflowing at [k = max_int]. A rung that answers has flip weight
+   exactly [f] and deviation exactly [d], since every lighter rung came
+   back empty. A rank-refuted entry skips every [f = 0] rung. Plain
+   reconstruction, the stream's fast path, shares one list. *)
+let plain = [ (0, 0) ]
 
-(* One solver serves every trace-cycle of a log: the timestamp matrix
-   [A] is shared, so we emit each XOR row once in the parity-select
-   form [⊕ vars_j ⊕ p_j = 0] — the select variable p_j carries bit j of
-   the timeprint — and pin the p_j per entry through assumptions. The
-   cardinality is shared the same way: one counter over the cycle
-   literals, whose outputs [≥ j] the entry assumes as [{≥ k, ¬(≥ k+1)}]
-   for [exactly k]. Every entry's solve therefore propagates one small
-   counter, whatever the mix of k values in the log. All structure
-   learned about [A] (and the assumed properties) transfers across
-   entries.
+let ladder ~m ~b ~k ~repair ~k_slack ~refuted =
+  let f_max = Int.min repair b in
+  let d_lo = Int.max 0 (k - m)
+  and d_hi = Int.min k_slack (Int.max k (m - k)) in
+  if f_max = 0 && d_lo = 0 && d_hi = 0 && not refuted then plain
+  else begin
+    (* no deviation in range ([d_lo > d_hi]) leaves the inner loop empty *)
+    let e_max = d_hi - d_lo and rungs = ref [] in
+    for w = f_max + e_max downto 0 do
+      for e = Int.min w e_max downto 0 do
+        let f = w - e in
+        if f <= f_max && not (refuted && f = 0) then
+          rungs := (f, d_lo + e) :: !rungs
+      done
+    done;
+    !rungs
+  end
 
-   With [repair = e > 0] the rows additionally close on shared error
-   variables [err_j] (so they read [⊕ vars_j ⊕ p_j ⊕ err_j = 0]), a
-   second counter runs over them, and each entry runs the budget
-   ladder [f = 0, 1, .., e], rung [f] assuming [¬(≥ f+1)] on the error
-   counter. Rung 0 is the clean solve. The first SAT rung names the
-   entry's minimal flip weight ([Repaired f]); a ladder that UNSATs
-   through [e] quarantines the entry instead of poisoning the log.
+type pending = { p_entry : Log_entry.t; p_rungs : (int * int) list }
 
-   The ladder's cheap rungs skip the solver: while [meet_wins] prices
-   rung f's C(b, f) lookups below a solve, the meet answers it
-   ([meet_rung]), and the first rung it declines hands that rung and
-   every rung above it to the solver. Both oracles are exact, so the
-   first non-empty rung is the same either way. With properties
-   assumed the whole ladder stays on SAT, as the planner's policy
-   keeps such queries off the meet. *)
-let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
-    ?(repair = 0) ?shared ?warm encoding entries =
-  if repair < 0 then invalid_arg "Sat_reconstruct.batch: negative repair budget";
-  (* the encoding-only half of the rank check is computed once (or
-     taken pre-computed from a parallel caller) and reused per entry *)
-  let shared =
-    lazy
-      (match shared with Some s -> s | None -> Presolve.shared encoding)
-  in
-  (* the meet's half-sum table, built on the first rung it takes; each
-     call (each parallel chunk) owns its own *)
-  let table = lazy (Combinatorial_reconstruct.pair_table encoding) in
+let pending_rung p = List.hd p.p_rungs
+
+type step =
+  | Answered of verdict * health * [ `Presolve | `Mitm ]
+  | Pending of pending
+
+(* The meet step: the rank check, then every rung at the bottom of the
+   ladder that [meet_wins] prices on the meet. Only exact-k rungs
+   ([d = 0]) run there, and none with properties assumed. A ladder that
+   runs out is quarantined: [`Mitm] if the meet swept a rung, else
+   [`Presolve] (rank-refuted without a budget, or [k − k_slack > m]).
+   The climb is a top-level function, not a closure: the stream's fast
+   path runs it once per entry. *)
+let rec meet_climb ~meet ~table encoding entry swept = function
+  | (f, 0) :: rest
+    when meet && meet_wins encoding ~k:(Log_entry.k entry) ~flips:f -> (
+      match meet_rung (Lazy.force table) encoding entry f with
+      | Some s ->
+          Answered (`Signal s, (if f = 0 then Clean else Repaired f), `Mitm)
+      | None -> meet_climb ~meet ~table encoding entry true rest)
+  | [] -> Answered (`Unsat, Quarantined, if swept then `Mitm else `Presolve)
+  | rungs -> Pending { p_entry = entry; p_rungs = rungs }
+
+let meet_step ?(assume = []) ?(presolve = true) ?(k_slack = 0) ~repair ~shared
+    ~table encoding entry =
+  if repair < 0 || k_slack < 0 then
+    invalid_arg "Sat_reconstruct.meet_step: negative budget";
   let m = Encoding.m encoding and b = Encoding.b encoding in
-  let repair = min repair b in
-  List.iter
-    (fun e ->
-      if Bitvec.width (Log_entry.tp e) <> b then
-        invalid_arg "Sat_reconstruct.batch: timeprint width <> encoding b")
-    entries;
+  if Bitvec.width (Log_entry.tp entry) <> b then
+    invalid_arg "Sat_reconstruct.meet_step: timeprint width <> encoding b";
+  let refuted = presolve && Presolve.refutes_with (Lazy.force shared) entry in
+  meet_climb ~meet:(assume = []) ~table encoding entry false
+    (ladder ~m ~b ~k:(Log_entry.k entry) ~repair ~k_slack ~refuted)
+
+(* The solver step. One solver serves every pending entry: the
+   timestamp matrix [A] is shared, so each XOR row is emitted once in
+   the parity-select form [⊕ vars_j ⊕ p_j = 0] — the select variable
+   p_j carries bit j of the timeprint — and the p_j are pinned per
+   entry through assumptions. When some rung allows flips, the rows
+   also close on shared error variables [err_j]. The cardinality is
+   shared the same way: one counter over the cycle literals, asked
+   [{≥ k − d, ¬(≥ hi + 1)}] for rung [(f, d)], and one over the error
+   literals, asked [¬(≥ f + 1)]. All structure learned about [A] (and
+   the assumed properties) transfers across entries. The construction,
+   the counter sizes and the solve order depend on the pending entries
+   alone, so two callers that hand over the same entries get the same
+   answers. *)
+let solver_step ?(assume = []) ?conflict_budget ?gauss ?warm encoding pending =
+  let m = Encoding.m encoding and b = Encoding.b encoding in
+  let fold f =
+    List.fold_left (fun acc p -> List.fold_left (f p) acc p.p_rungs)
+  in
+  let flips = fold (fun _ acc (f, _) -> max acc f) 0 pending in
+  let hi k d = if k >= m - d then m else k + d in
   (* a compiled skeleton stands in for the construction below only in
      the exact configuration it was compiled for; any other call falls
      back to the cold path, whose answers the warm path must reproduce
      byte for byte *)
   let warm =
     match warm with
-    | Some w when assume = [] && repair = 0 && gauss = None ->
+    | Some w when assume = [] && flips = 0 && gauss = None ->
         if w.w_m <> m || w.w_b <> b then
-          invalid_arg "Sat_reconstruct.batch: warm skeleton shape <> encoding";
+          invalid_arg "Sat_reconstruct.solver_step: warm skeleton shape";
         Some w
     | _ -> None
   in
@@ -755,7 +708,7 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
         let xvars = Array.init m (fun _ -> Cnf.new_var cnf) in
         let pvars = Array.init b (fun _ -> Cnf.new_var cnf) in
         let evars =
-          if repair > 0 then Some (Array.init b (fun _ -> Cnf.new_var cnf))
+          if flips > 0 then Some (Array.init b (fun _ -> Cnf.new_var cnf))
           else None
         in
         for j = 0 to b - 1 do
@@ -793,99 +746,95 @@ let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
          and counters *)
       Solver.boost solver (Array.to_list xvars));
   (* the counters come after the skeleton, built the same way on the
-     warm and cold paths, and only once an entry reaches the solver: an
-     empty batch, or one answered entirely by the rank check at
-     [repair = 0], builds none. The cycle counter reaches one past the
-     largest k, so [exactly k] is the window [{≥ k, ¬(≥ k+1)}]; the
-     error counter reaches one past the budget, so rung [f] is
-     [¬(≥ f+1)]. *)
+     warm and cold paths, and only once an entry reaches the solver:
+     an empty step builds none. Each reaches one past the largest
+     bound a rung asks of it. *)
   let counters =
     lazy
       (let lits vars = Array.to_list (Array.map Lit.pos vars) in
-       (* entries with k > m never reach the solver: leaving them out
-          keeps k_max + 1 from overflowing on a hostile k *)
-       let k_max =
-         List.fold_left
-           (fun acc e ->
-             let k = Log_entry.k e in
-             if k <= m then max acc k else acc)
-           0 entries
+       let top =
+         fold
+           (fun p acc (_, d) -> max acc (hi (Log_entry.k p.p_entry) d))
+           0 pending
        in
-       let cycles = Cardinality.counter cnf (lits xvars) (k_max + 1) in
+       let cycles = Cardinality.counter cnf (lits xvars) (top + 1) in
        let errors =
-         Option.map (fun ev -> Cardinality.counter cnf (lits ev) (repair + 1)) evars
+         Option.map
+           (fun ev -> Cardinality.counter cnf (lits ev) (flips + 1))
+           evars
        in
        flush ();
        (cycles, errors))
   in
   List.map
-    (fun entry ->
-      (* the shared [A] rows are consistent by themselves; what varies
-         per entry is the augmentation [A | TP], so the rank refutation
-         must run per entry — refuted entries cost zero solver work,
-         and a refuted entry without a repair budget is quarantined on
-         the spot, as is one claiming more changes than cycles *)
-      let refuted = presolve && Presolve.refutes_with (Lazy.force shared) entry in
-      let k = Log_entry.k entry in
-      if (refuted && repair = 0) || k > m then
-        (`Unsat, Quarantined, Solver.zero_stats)
-      else
-        (* the budget ladder: rung f = 0 is the clean solve (no error
-           bit set), rung f > 0 relaxes to ≤ f error bits; first SAT
-           wins with minimal flip weight since every lower rung already
-           came back UNSAT. [solve f0] runs rungs f0 .. repair on the
-           solver. *)
-        let solve f0 =
-          let cycles, errors = Lazy.force counters in
-          let tp = Log_entry.tp entry in
-          let base =
-            Cardinality.within cycles ~lo:k ~hi:k
-            @ List.init b (fun j -> Lit.make pvars.(j) (Bitvec.get tp j))
-          in
-          let before = Solver.stats solver in
-          let rec climb f =
-            if f > repair then (`Unsat, Quarantined)
-            else if f = 0 && refuted then climb 1
-            else begin
-              let assumptions =
-                match errors with
-                | None -> base
-                | Some c -> base @ Cardinality.within c ~lo:0 ~hi:f
-              in
-              match Solver.solve ?conflict_budget ~assumptions solver with
-              | Sat ->
-                  let signal = signal_of_model m xvars (Solver.value solver) in
-                  let weight =
-                    match evars with
-                    | None -> 0
-                    | Some ev ->
-                        Array.fold_left
-                          (fun n v -> if Solver.value solver v then n + 1 else n)
-                          0 ev
-                  in
-                  ( `Signal signal,
-                    if weight = 0 then Clean else Repaired weight )
-              | Unsat -> climb (f + 1)
-              | Unknown -> (`Unknown, Quarantined)
-            end
-          in
-          let verdict, health = climb f0 in
-          (verdict, health, Solver.stats_diff ~before ~after:(Solver.stats solver))
-        in
-        (* the meet's rungs, from the bottom while it wins on price;
-           like the solver's, they skip rung 0 of a rank-refuted entry *)
-        let rec meet f =
-          if f > repair then (`Unsat, Quarantined, Solver.zero_stats)
-          else if f = 0 && refuted then meet 1
-          else if not (meet_wins encoding ~k ~flips:f) then solve f
-          else
-            match meet_rung (Lazy.force table) encoding entry f with
-            | Some s ->
-                (`Signal s, (if f = 0 then Clean else Repaired f), Solver.zero_stats)
-            | None -> meet (f + 1)
-        in
-        if repair > 0 && assume = [] then meet 0 else solve 0)
-    entries
+    (fun { p_entry = entry; p_rungs } ->
+      let cycles, errors = Lazy.force counters in
+      let k = Log_entry.k entry and tp = Log_entry.tp entry in
+      let select =
+        List.init b (fun j -> Lit.make pvars.(j) (Bitvec.get tp j))
+      in
+      let before = Solver.stats solver in
+      let rec climb = function
+        | [] -> (`Unsat, Quarantined)
+        | (f, d) :: rest -> (
+            let assumptions =
+              Cardinality.within cycles ~lo:(k - d) ~hi:(hi k d)
+              @ select
+              @
+              match errors with
+              | None -> []
+              | Some c -> Cardinality.within c ~lo:0 ~hi:f
+            in
+            match Solver.solve ?conflict_budget ~assumptions solver with
+            | Sat ->
+                let signal = signal_of_model m xvars (Solver.value solver) in
+                let weight =
+                  match evars with
+                  | None -> 0
+                  | Some ev ->
+                      Array.fold_left
+                        (fun n v -> if Solver.value solver v then n + 1 else n)
+                        0 ev
+                in
+                (`Signal signal, if weight = 0 then Clean else Repaired weight)
+            | Unsat -> climb rest
+            | Unknown -> (`Unknown, Quarantined))
+      in
+      let verdict, health = climb p_rungs in
+      (verdict, health, Solver.stats_diff ~before ~after:(Solver.stats solver)))
+    pending
+
+(* [batch] is the two steps in sequence, on a table and a rank-check
+   reduction of its own (or the caller's [shared]). *)
+let batch ?(assume = []) ?(presolve = true) ?conflict_budget ?gauss
+    ?(repair = 0) ?shared ?warm encoding entries =
+  if repair < 0 then
+    invalid_arg "Sat_reconstruct.batch: negative repair budget";
+  let shared =
+    lazy (match shared with Some s -> s | None -> Presolve.shared encoding)
+  in
+  let table = lazy (Combinatorial_reconstruct.pair_table encoding) in
+  let steps =
+    List.map
+      (meet_step ~assume ~presolve ~repair ~shared ~table encoding)
+      entries
+  in
+  let pending =
+    List.filter_map (function Pending p -> Some p | Answered _ -> None) steps
+  in
+  let solved =
+    ref (solver_step ~assume ?conflict_budget ?gauss ?warm encoding pending)
+  in
+  List.map
+    (function
+      | Answered (v, h, _) -> (v, h, Solver.zero_stats)
+      | Pending _ -> (
+          match !solved with
+          | r :: rest ->
+              solved := rest;
+              r
+          | [] -> assert false))
+    steps
 
 (* ------------------------------------------------------------------ *)
 (* Cube-and-conquer hooks

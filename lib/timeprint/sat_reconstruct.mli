@@ -149,15 +149,14 @@ val pp_check_result : Format.formatter -> check_result -> unit
 
     Logs arrive damaged — flipped timeprint bits on the trace channel,
     off-by-δ change counters ({!Fault} models both). A plain
-    reconstruction of such an entry is UNSAT; {!solve_repair} instead finds
-    the {e minimal-error} consistent explanation: the XOR rows are
-    relaxed to [A·x = TP ⊕ err] with one error literal per timeprint
-    bit, the cardinality constraint to a [±d] window around [k], and
-    budget splits [(f, d)] are tried in increasing total weight
-    [f + d], so the first satisfiable split is a provably lightest
-    repair. Each split is a set of assumptions on two shared counters
-    ({!Tp_sat.Cardinality.counter}): [¬(≥ f+1)] on the error literals
-    and [{≥ k−d, ¬(≥ k+d+1)}] on the cycle literals. *)
+    reconstruction of such an entry is UNSAT; the repair ladder
+    ({!meet_step}, {!solver_step}) instead finds the {e minimal-error}
+    consistent explanation: a signal [x] with [A·x = TP ⊕ err] and a
+    change count within [±d] of [k], trying rungs [(f, d)] — at most
+    [f] flipped bits, at most [d] deviation — in increasing total
+    weight [f + d], so the first rung that answers is a provably
+    lightest repair. A single {!Query.Repair} and every stream entry
+    climb the same ladder. *)
 
 type repair = {
   r_signal : Signal.t;  (** the reconstruction under the repair *)
@@ -172,23 +171,6 @@ type repair_verdict =
   | `Repaired of repair  (** minimal-error explanation within budget *)
   | `Unrepairable  (** no explanation within the budget exists *)
   | `Unknown ]
-
-val solve_repair :
-  ?conflict_budget:int -> ?k_slack:int -> max_flips:int -> problem ->
-  repair_verdict * Tp_sat.Solver.stats option
-(** Minimal-error reconstruction: up to [max_flips] timeprint bit
-    errors (clamped to [b]) and a counter off by at most [k_slack]
-    (default [0]). With [max_flips = 0] and [k_slack = 0] this is
-    {!first} in different clothing: [`Clean] iff a witness exists. The
-    rank refutation disposes of every zero-flip split for free, so
-    clean entries pay nothing for the repair machinery. A split with
-    [k − d > m] is UNSAT without a solve, so an entry whose
-    [k − k_slack] exceeds [m] is [`Unrepairable]. Raises
-    [Invalid_argument] on negative budgets.
-
-    Also returns the solver work across all budget splits; [None] when
-    no solver ran: the rank refutation answered ([max_flips = 0] on an
-    inconsistent system), or [k − k_slack] exceeds [m]. *)
 
 type health =
   | Clean  (** reconstructed as logged *)
@@ -260,18 +242,18 @@ module Session : sig
 end
 
 type warm
-(** A compiled skeleton of {!batch}'s per-call construction for the
-    default configuration (no assumed properties, no repair budget,
+(** A compiled skeleton of {!solver_step}'s construction for the
+    default configuration (no assumed properties, no flip rungs,
     [gauss] unset): the parity-select CNF — cycle variables, select
     variables, the XOR rows of [A] — plus a {!Tp_sat.Solver.snapshot}
     of a solver already loaded, propagated and activity-boosted with
     it. Immutable; one value can serve any number of concurrent
-    {!batch} calls (each clones its own solver). Design packs
+    {!solver_step} calls (each clones its own solver). Design packs
     ({!Pack}) persist the inputs and rebuild this at load. *)
 
 val warm : Encoding.t -> warm
-(** Compile the skeleton — the one-off cost that {!batch} otherwise
-    pays on every call. *)
+(** Compile the skeleton — the one-off cost that {!solver_step}
+    otherwise pays on every call. *)
 
 val warm_skeleton : warm -> Tp_sat.Cnf.t
 (** The skeleton's CNF (cycle variables [0..m-1], select variables
@@ -291,21 +273,126 @@ val warm_of_skeleton : m:int -> b:int -> Tp_sat.Cnf.t -> warm
     The caller is trusted on the CNF's content (design packs verify it
     with a checksum). *)
 
+(** {1 The repair ladder}
+
+    An entry climbs rungs [(f, d)] — at most [f] flipped timeprint
+    bits, a change count at most [d] from [k] — in increasing [f + d],
+    then [d]: [f] up to the flip budget (clamped to [b]), [d] from
+    [k − m] (no lower deviation reaches a count of [m] or less) up to
+    [min k_slack (max k (m − k))] (a wider window adds no count), so no
+    bound overflows whatever [k] and [k_slack] a client sends. Every
+    lighter rung has come back empty when a rung answers, so its
+    answer has flip weight exactly [f] and deviation exactly [d]. A
+    rank-refuted entry skips every [f = 0] rung. With a zero budget
+    the ladder is the single rung [(0, 0)]: plain reconstruction.
+
+    The ladder runs in two steps. {!meet_step} takes one entry through
+    the rank check and the bottom rungs the meet is priced to take
+    ({!meet_wins}); {!solver_step} runs the rest of every pending entry
+    on one shared solver. {!batch} is the two in sequence; the planner
+    runs the meet step on the calling domain and fans the pending
+    entries out ({!Plan.run_stream_emit}); the SAT adapter answers a
+    single {!Query.Repair} with both steps on its one entry. *)
+
 val cost_baseline : float
 (** The price of one SAT solve in the planner's cost bits (log₂ of
     elementary steps) — a flat baseline, since CDCL work has no clean
     analytic model. The exact engines price themselves against it. *)
 
 val meet_wins : Encoding.t -> k:int -> flips:int -> bool
-(** Whether answering the [C(b, flips)] flip sets of repair rung
-    [flips] with one meet-in-the-middle lookup each
+(** Whether answering the [C(b, flips)] flip sets of rung [(flips, 0)]
+    with one meet-in-the-middle lookup each
     ({!Combinatorial_reconstruct.first}) beats one SAT solve: [k] is
     {!Combinatorial_reconstruct.feasible}, [0 ≤ flips ≤ b], and either
     [flips = 0 ∧ k ≤ 4] or
     [log₂ C(b, flips) + Combinatorial_reconstruct.cost_bits ~m ~k]
-    is below {!cost_baseline}. At [flips = 0] this is the planner's
-    stream fast path ({!Plan.run_stream_emit}); above, it gates the
-    meet rungs of {!batch}'s repair ladder. *)
+    is below {!cost_baseline}. {!meet_step} asks it at every rung, so
+    at [flips = 0] it is the stream's fast path. *)
+
+type pending
+(** An entry the meet step left to the solver, with the rungs still to
+    climb. Immutable. *)
+
+val pending_rung : pending -> int * int
+(** The rung [(flips, deviation)] the solver starts from. *)
+
+type step =
+  | Answered of verdict * health * [ `Presolve | `Mitm ]
+      (** decided without a solver: [`Presolve] when no rung ran (a
+          rank-refuted entry without a flip budget, or
+          [k − k_slack > m]), [`Mitm] when the meet swept a rung *)
+  | Pending of pending
+
+val meet_step :
+  ?assume:Property.t list ->
+  ?presolve:bool ->
+  ?k_slack:int ->
+  repair:int ->
+  shared:Presolve.shared Lazy.t ->
+  table:Combinatorial_reconstruct.table Lazy.t ->
+  Encoding.t ->
+  Log_entry.t ->
+  step
+(** One entry's bottom rungs at flip budget [repair] and counter slack
+    [k_slack] (default [0]). When [presolve] (default [true]) the rank
+    check ({!Presolve.refutes_with} on [shared]) runs first, and a
+    refuted entry skips its [f = 0] rungs. Then, without [assume]d
+    properties, each exact-[k] rung [(f, 0)] that {!meet_wins} prices
+    runs on the meet against [table]: the flip sets [F] of weight [f]
+    in lexicographic order, one {!Combinatorial_reconstruct.first}
+    lookup each on [(TP ⊕ e_F, k)], the first hit being the witness
+    ([Clean] at [f = 0], [Repaired f] above). The first rung the meet
+    is not priced to take makes the entry [Pending] from that rung; a
+    ladder that runs out is [(`Unsat, Quarantined)]. At [m = 32, b = 11]
+    the meet takes rung 0 for every [k ≤ 8], rung 1 for [k ≤ 7] and
+    rungs 2–3 for [k ≤ 6]; at [m = 128, b = 16], rung 0 for [k ≤ 6],
+    rungs 1–2 for [k ≤ 5] and rung 3 for [k ≤ 3]. [shared] and
+    [table] are forced only when a rung needs them; a caller that
+    shares one table across domains runs this step on one domain,
+    since the table memoizes its triple half. Raises
+    [Invalid_argument] on a timeprint width mismatch or a negative
+    budget. *)
+
+val solver_step :
+  ?assume:Property.t list ->
+  ?conflict_budget:int ->
+  ?gauss:bool ->
+  ?warm:warm ->
+  Encoding.t ->
+  pending list ->
+  (verdict * health * Tp_sat.Solver.stats) list
+(** The remaining rungs of every pending entry, in order, on a single
+    solver. The timestamp-matrix structure is emitted once in
+    parity-select form — each XOR row closes on a fresh select
+    variable [p_j] instead of the constant [TP] bit (and on an error
+    variable [err_j] when some rung allows flips), and each entry pins
+    [p_j] to its timeprint bit via assumptions — so conflict clauses
+    learned about [A] (and about the [assume] properties, which must
+    hold in every trace-cycle) transfer across entries. The
+    cardinalities are {!Tp_sat.Cardinality.counter}s, one over the
+    cycle literals and one over the error literals, each reaching one
+    past the largest bound a rung asks of it; rung [(f, d)] assumes
+    [{≥ k − d, ¬(≥ hi + 1)}] on the first ([hi = min m (k + d)]) and
+    [¬(≥ f + 1)] on the second. The counters are built when the first
+    entry reaches the solver, so an empty list builds none. The
+    construction, the counter sizes and the solve order depend on the
+    pending entries alone. Returns, per entry, the verdict of its
+    first satisfiable rung with health [Clean] (no flipped bit) or
+    [Repaired w] ([w] flipped bits), or [(`Unsat, Quarantined)] when
+    every rung came back UNSAT ([`Unknown] when a solve ran out of
+    [conflict_budget], which bounds each solve), and the solver-work
+    delta the entry cost.
+
+    [gauss] is the in-solver Gauss engine ({!Tp_sat.Solver.create};
+    [Some false] also emits the rows chunked). [warm] is a compiled
+    skeleton ({!val:warm}): the step starts from a copy of its CNF and
+    a clone of its solver snapshot instead of re-encoding and
+    re-propagating the XOR rows. Used only when the call matches the
+    compiled configuration (no [assume], no flip rungs, [gauss] unset)
+    — otherwise it is silently ignored and the cold construction runs;
+    either way the answers are identical to a cold call. Raises
+    [Invalid_argument] when a used skeleton's dimensions disagree with
+    [encoding]. *)
 
 val batch :
   ?assume:Property.t list ->
@@ -318,71 +405,26 @@ val batch :
   Encoding.t ->
   Log_entry.t list ->
   (verdict * health * Tp_sat.Solver.stats) list
-(** Reconstruct a stream of trace-cycle log entries against one
-    encoding with a single solver. The timestamp-matrix structure is
-    emitted once in parity-select form — each XOR row closes on a fresh
-    select variable [p_j] instead of the constant [TP] bit, and each
-    entry pins [p_j] to its timeprint bit via assumptions — so conflict
-    clauses learned about [A] (and about the [assume] properties, which
-    must hold in every trace-cycle) transfer across entries. The
-    cardinality is one {!Tp_sat.Cardinality.counter} over the cycle
-    literals, reaching one past the largest [k] of the batch: an entry
-    asks for [exactly k] by assuming the counter outputs
-    [{≥ k, ¬(≥ k+1)}]. The counters are built when the first entry
-    reaches the solver, so an empty batch, or one the rank check
-    answers entirely at [repair = 0], builds none. An entry with
-    [k > m] is [(`Unsat, Quarantined)] without a solve, at every
-    repair budget. When [presolve]
-    (default [true]), each entry first takes the F₂ rank check
-    ({!Presolve.refutes}): an inconsistent [A | TP] is answered
-    [`Unsat] with an all-zero stats record and no solver call. Returns,
-    per entry in order, the {!verdict}, the entry's {!health}, and the
-    solver-work delta that entry cost. [conflict_budget] bounds each
-    individual solve.
+(** The whole ladder over a log: {!meet_step} on every entry at flip
+    budget [repair] (default [0]) with no counter slack, then one
+    {!solver_step} over the pending entries, with all-zero stats for
+    the entries the meet step answered. Returns, per entry in order,
+    the {!verdict}, the entry's {!health} and the solver work it cost.
+    With [repair = 0] the health column is just [Clean]/[Quarantined];
+    an entry with [k > m] is [(`Unsat, Quarantined)] without a solve
+    at every budget. Both the meet and the solver are exact, so the
+    health never depends on which one answered a rung; a witness can,
+    where a rung has several members.
 
-    [repair] (default [0], clamped to [b]) is the per-entry flip
-    budget: the shared XOR rows additionally close on [b] error
-    variables, and each entry climbs the ladder [f = 0, 1, .., repair]
-    — rung [f] assumes [¬(≥ f+1)] on a second counter over the error
-    literals, so rung 0 is exactly the clean solve — and the first SAT
-    rung is the entry's minimal flip weight
-    ([Repaired f]). An entry whose ladder runs out (or whose budget is
-    exhausted) is [Quarantined] and the batch moves on; with
-    [repair = 0] the health column is just [Clean]/[Quarantined].
-    Raises [Invalid_argument] on a timeprint width mismatch or a
-    negative repair budget.
-
-    With [repair > 0] and no [assume], the ladder's lowest rungs skip
-    the solver: rung [f] runs on the meet while {!meet_wins} says its
-    [C(b, f)] lookups beat a solve — the flip sets [F] of weight [f] in
-    lexicographic order, one {!Combinatorial_reconstruct.first} lookup
-    each on [(TP ⊕ e_F, k)], the first hit being the entry's witness
-    ([Clean] at [f = 0], [Repaired f] above) with all-zero stats. The
-    first rung the meet declines, and every rung above it, runs on the
-    solver. Both oracles are exact, so the health is the same either
-    way; where a rung has several members, the meet's witness may
-    differ from the solver's. At [m = 32, b = 11] the meet takes rung 0
-    for every [k ≤ 8], rung 1 for [k ≤ 7] and rungs 2–3 for [k ≤ 6]; at
-    [m = 128, b = 16], rung 0 for [k ≤ 6], rungs 1–2 for [k ≤ 5] and
-    rung 3 for [k ≤ 3]. At [repair = 0], or
-    with properties assumed, every rung runs on the solver. The meet's
-    half-sum table ({!Combinatorial_reconstruct.pair_table}) is built
-    on the first rung it takes and belongs to this call alone.
-
-    [shared] is the encoding-only half of the rank check
-    ({!Presolve.shared}); parallel callers that split a log into
-    chunks compute it once and hand the same read-only copy to every
-    chunk, instead of each chunk re-reducing [A]. Omitted, it is
-    computed lazily on first use.
-
-    [warm] is a compiled skeleton ({!val:warm}): the batch starts from
-    a copy of its CNF and a clone of its solver snapshot instead of
-    re-encoding and re-propagating the XOR rows. Used only when the
-    call matches the compiled configuration ([assume = []],
-    [repair = 0], [gauss] unset) — otherwise it is silently ignored
-    and the cold construction runs; either way the answers are
-    identical to a cold call. Raises [Invalid_argument] when the
-    skeleton's dimensions disagree with [encoding]. *)
+    [presolve] (default [true]) turns the rank check on; [shared] is
+    its encoding-only half ({!Presolve.shared}), computed on first use
+    when omitted. The meet's half-sum table
+    ({!Combinatorial_reconstruct.pair_table}) is built on the first
+    rung the meet takes and belongs to this call. [conflict_budget],
+    [gauss] and [warm] go to {!solver_step}, which always runs, so an
+    empty log still pays the skeleton and a mis-shaped [warm] raises
+    [Invalid_argument]. Raises [Invalid_argument] on a timeprint width
+    mismatch or a negative repair budget. *)
 
 (** {1 Cube-and-conquer hooks}
 

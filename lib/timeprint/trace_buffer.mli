@@ -6,9 +6,9 @@
     fixed capacity. Logging is exact while the buffer lasts, but cost
     is activity-dependent ([k·⌈log₂ m⌉] bits per trace-cycle) and the
     buffer overflows on bursts — after which cycles are simply not
-    captured. {!coverage} and {!Trace_db.bits_stored} make the §1
-    comparison (gigabytes/s vs ~bits/trace-cycle) executable, see the
-    bench [baseline] section. *)
+    captured. {!coverage} and {!Design.bits_per_trace_cycle} make the
+    §1 comparison (gigabytes/s vs ~bits/trace-cycle) executable, see
+    the bench [baseline] section. *)
 
 type t
 

@@ -200,6 +200,58 @@ let prop_stream_health_matches_oracle =
           | _ -> false)
         entries results)
 
+(* The entry of a random k-change signal with 0–2 distinct timeprint
+   bits flipped. *)
+let random_faulted st e ~k =
+  let m = Encoding.m e and b = Encoding.b e in
+  let bits =
+    List.sort_uniq compare
+      (List.init (Random.State.int st 3) (fun _ -> Random.State.int st b))
+  in
+  Fault.flip_tp (Logger.abstract e (Signal.random st ~m ~k)) ~bits
+
+(* A single [Repair] query climbs the same ladder as a stream entry:
+   small random designs, k anywhere in 0..m, 0–2 flipped bits, budget
+   0–2. Its flip weight is the brute-force minimum and the stream's;
+   [Some (-1)] marks a wrong witness or an undecided answer. *)
+let prop_single_repair_matches_stream =
+  QCheck.Test.make ~name:"single Repair weight = oracle = stream weight"
+    ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 21 |] in
+      let m = 6 + Random.State.int st 7 and b = 5 + Random.State.int st 5 in
+      let e = Encoding.random_constrained ~depth:2 ~seed ~m ~b () in
+      let en = random_faulted st e ~k:(Random.State.int st (m + 1)) in
+      let budget = Random.State.int st 3 in
+      let explains flips s =
+        Log_entry.equal
+          (Log_entry.make
+             ~tp:
+               (Bitvec.logxor (Log_entry.tp en)
+                  (Bitvec.of_indices ~width:b flips))
+             ~k:(Log_entry.k en))
+          (Logger.abstract e s)
+      in
+      let single =
+        match plan_repair ~max_flips:budget e en with
+        | `Clean s -> if explains [] s then Some 0 else Some (-1)
+        | `Repaired r ->
+            if r.Sat_reconstruct.r_k_delta = 0 && explains r.r_flips r.r_signal
+            then Some (List.length r.r_flips)
+            else Some (-1)
+        | `Unrepairable -> None
+        | `Unknown -> Some (-1)
+      in
+      let stream =
+        match Plan.run_stream ~repair:budget e [ en ] with
+        | [ (_, Sat_reconstruct.Clean, _) ] -> Some 0
+        | [ (_, Sat_reconstruct.Repaired w, _) ] -> Some w
+        | [ (_, Sat_reconstruct.Quarantined, _) ] -> None
+        | _ -> Some (-1)
+      in
+      single = oracle_min_weight e en ~budget && single = stream)
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance scenario: one corrupted entry in a log                    *)
 
@@ -436,18 +488,26 @@ let test_repair_batch_propagations () =
     Alcotest.failf "repair batch: %d propagations, bound %d" propagations bound
 
 (* The same work count on batches whose every entry reaches the solver,
-   since the meet answers most of [counter_log]'s ladder: [counter_log]
-   at repair 0, where the batch consults no meet, exercises the cycle
-   counter; 16 one-bit-flipped k = 9, 10 entries, past the meet's reach,
-   at repair 1 exercise the error counter too. Guarded groups cost
-   676_633 and 44_694 propagations on these two batches, the shared
-   counters 79_948 and 10_333; each batch is bounded by half its
-   guarded figure. *)
+   since the meet takes every rung 0 and most rungs 1 of [counter_log]:
+   32 entries with k = 9..15, past the meet's reach, at repair 0
+   exercise the cycle counter; 16 one-bit-flipped k = 9, 10 entries at
+   repair 1 exercise the error counter too. Guarded groups cost 227_959
+   and 44_694 propagations on these two batches, the shared counters
+   26_280 and 10_333; each batch is bounded by half its guarded figure,
+   and must cost the solver some work. *)
 let test_solver_batch_propagations () =
-  let e, log = counter_log () in
+  let e, _ = counter_log () in
   let m = Encoding.m e in
-  let rng = Random.State.make [| 78 |] in
+  let rng = Random.State.make [| 19 |] in
   let high_k =
+    List.init 32 (fun i ->
+        let en = Logger.abstract e (Signal.random rng ~m ~k:(9 + (i mod 7))) in
+        if i mod 4 = 3 then
+          Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ]
+        else en)
+  in
+  let rng = Random.State.make [| 78 |] in
+  let flipped =
     List.init 16 (fun i ->
         Fault.flip_tp
           (Logger.abstract e (Signal.random rng ~m ~k:(9 + (i mod 2))))
@@ -456,12 +516,12 @@ let test_solver_batch_propagations () =
   List.iter
     (fun (name, log, repair, guarded) ->
       let propagations = batch_propagations (Sat_reconstruct.batch ~repair e log) in
-      if propagations > guarded / 2 then
+      if propagations = 0 || propagations > guarded / 2 then
         Alcotest.failf "%s: %d propagations, bound %d" name propagations
           (guarded / 2))
     [
-      ("k = 2..8 at repair 0", log, 0, 676_633);
-      ("flipped k = 9, 10 at repair 1", high_k, 1, 44_694);
+      ("k = 9..15 at repair 0", high_k, 0, 227_959);
+      ("flipped k = 9, 10 at repair 1", flipped, 1, 44_694);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -566,6 +626,43 @@ let test_meet_then_sat () =
       | _ -> Alcotest.failf "entry %d: expected Repaired 1" i)
     (flipped 12)
 
+(* The same design, one step at a time: the meet step sweeps rung 0 of a
+   flipped k = 8 entry, finds nothing, and leaves the entry pending from
+   rung 1, which the meet is not priced to take; the solver step starts
+   there, so rung 0 is swept once. The stream takes the same path. *)
+let test_rung0_swept_once () =
+  let m = 32 in
+  let e = Encoding.random_constrained ~depth:4 ~seed:11 ~m ~b:24 () in
+  let rng = Random.State.make [| 6 |] in
+  let rec flipped () =
+    let en =
+      Fault.flip_tp
+        (Logger.abstract e (Signal.random rng ~m ~k:8))
+        ~bits:[ Random.State.int rng 24 ]
+    in
+    if Combinatorial_reconstruct.first e en = None then en else flipped ()
+  in
+  let en = flipped () in
+  let shared = lazy (Presolve.shared e)
+  and table = lazy (Combinatorial_reconstruct.pair_table e) in
+  match Sat_reconstruct.meet_step ~repair:1 ~shared ~table e en with
+  | Sat_reconstruct.Answered _ -> Alcotest.fail "rung 1 is the solver's"
+  | Sat_reconstruct.Pending p -> (
+      Alcotest.(check (pair int int)) "pending from rung 1" (1, 0)
+        (Sat_reconstruct.pending_rung p);
+      (match Sat_reconstruct.solver_step e [ p ] with
+      | [ (`Signal s, Sat_reconstruct.Repaired 1, st) ] ->
+          Alcotest.(check bool) "witness one flip away" true
+            (witness_at e en s 1);
+          Alcotest.(check bool) "the solver ran rung 1" true
+            (st <> Tp_sat.Solver.zero_stats)
+      | _ -> Alcotest.fail "solver step: expected Repaired 1");
+      match Plan.run_stream ~repair:1 e [ en ] with
+      | [ (`Signal _, Sat_reconstruct.Repaired 1, `Sat st) ] ->
+          Alcotest.(check bool) "stream: the solver ran rung 1" true
+            (st <> Tp_sat.Solver.zero_stats)
+      | _ -> Alcotest.fail "stream: expected Repaired 1 from the solver")
+
 (* A seeded m = 32 (b = 11) log in the perfbench repair shape: k ≤ 5
    entries, every third with one flipped bit, k = 9, 10 entries past
    the meet's reach, then k = 7, 8 entries, clean and one bit flipped.
@@ -608,6 +705,78 @@ let test_meet_rungs_cost_no_solver_work () =
           true
           (st <> Tp_sat.Solver.zero_stats))
     (List.combine log (Sat_reconstruct.batch ~repair:1 e log))
+
+(* ------------------------------------------------------------------ *)
+(* The traced replay's contract                                         *)
+
+(* perfbench's traced replay (perfbench/replay.ml) decides rung 0 with
+   its own copy of the price, answers it on the session's table, and
+   hands every entry it did not answer to [Sat_reconstruct.batch]; its
+   rendered lines must equal the daemon's byte for byte. *)
+let replay_stream session ~repair entries =
+  let encoding = Plan.session_encoding session in
+  let m = Encoding.m encoding in
+  let shared = Plan.session_shared session in
+  let fast k =
+    Combinatorial_reconstruct.feasible encoding ~k
+    && (k <= 4 || Engine.mitm_cost_bits ~m ~k < Engine.sat_cost_baseline)
+  in
+  let quarantined =
+    if repair = 0 then Some (`Unsat, Sat_reconstruct.Quarantined) else None
+  in
+  let decided =
+    List.map
+      (fun e ->
+        if Presolve.refutes_with shared e then quarantined
+        else if fast (Log_entry.k e) then
+          match
+            Combinatorial_reconstruct.first ~table:(Plan.session_table session)
+              encoding e
+          with
+          | Some w -> Some (`Signal w, Sat_reconstruct.Clean)
+          | None -> quarantined
+        else None)
+      entries
+  in
+  let leftover =
+    List.filteri (fun i _ -> Option.is_none (List.nth decided i)) entries
+  in
+  let batched =
+    ref
+      (Sat_reconstruct.batch ~presolve:(repair > 0) ~repair ~shared
+         ?warm:(Plan.session_warm session) encoding leftover)
+  in
+  List.mapi
+    (fun i d ->
+      let v, h =
+        match (d, !batched) with
+        | Some r, _ -> r
+        | None, (v, h, _) :: rest ->
+            batched := rest;
+            (v, h)
+        | None, [] -> assert false
+      in
+      (* the line shows the verdict and the health, not the tag *)
+      Tp_service.Render.entry_line i (v, h, `Mitm))
+    decided
+
+let prop_replay_contract =
+  QCheck.Test.make ~name:"stream lines = replay's rung 0 + batch" ~count:25
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 23 |] in
+      let m = 16 + Random.State.int st 17 and b = 10 + Random.State.int st 15 in
+      let e = Encoding.random_constrained ~depth:2 ~seed ~m ~b () in
+      let session = Plan.session ~pack:(Pack.compile e) e in
+      let log =
+        List.init 12 (fun _ -> random_faulted st e ~k:(Random.State.int st 11))
+      in
+      List.for_all
+        (fun repair ->
+          List.mapi Tp_service.Render.entry_line
+            (Plan.run_stream_in ~repair session log)
+          = replay_stream session ~repair log)
+        [ 0; 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Regression: counting a repaired entry under an exhausted budget      *)
@@ -658,7 +827,12 @@ let () =
             test_flip_and_perturb_primitives;
         ] );
       ( "repair-oracle",
-        qt [ prop_repair_matches_oracle; prop_stream_health_matches_oracle ] );
+        qt
+          [
+            prop_repair_matches_oracle;
+            prop_stream_health_matches_oracle;
+            prop_single_repair_matches_stream;
+          ] );
       ( "acceptance",
         [
           Alcotest.test_case "--repair 2 recovers the whole log" `Quick
@@ -686,9 +860,12 @@ let () =
         @ [
             Alcotest.test_case "meet rung 0, solver rung 1" `Quick
               test_meet_then_sat;
+            Alcotest.test_case "a rung-0 miss is swept once" `Quick
+              test_rung0_swept_once;
             Alcotest.test_case "meet-answered entries cost no solver work"
               `Quick test_meet_rungs_cost_no_solver_work;
           ] );
+      ("replay-contract", qt [ prop_replay_contract ]);
       ( "count-regression",
         [
           Alcotest.test_case "exhausted budget reports Lower_bound" `Quick

@@ -23,7 +23,7 @@ let entries =
     List.concat_map
       (fun k ->
         List.init 3 (fun _ -> Logger.abstract enc (Signal.random st ~m ~k)))
-      [ 1; 2; 3; 4; 6 ]
+      [ 1; 2; 3; 4; 6; 9 ]
   in
   let corrupted =
     let e = List.hd good in
@@ -266,9 +266,15 @@ let test_stream_identity_grid () =
 
 let test_warm_batch () =
   let w = Sat_reconstruct.warm enc in
-  let cold = Sat_reconstruct.batch enc entries in
-  let warm = Sat_reconstruct.batch ~warm:w enc entries in
+  (* the k = 9 entries, past the meet's reach, are the ones a warm
+     skeleton serves *)
+  let high = List.filter (fun e -> Log_entry.k e >= 9) entries in
+  let cold = Sat_reconstruct.batch enc high in
+  let warm = Sat_reconstruct.batch ~warm:w enc high in
   Alcotest.(check bool) "warm batch = cold batch" true (cold = warm);
+  Alcotest.(check bool) "the solver answered every entry" true
+    (high <> []
+    && List.for_all (fun (_, _, st) -> st <> Solver.zero_stats) warm);
   (* ineligible requests silently ignore the skeleton *)
   let cold_r = Sat_reconstruct.batch ~repair:1 enc entries in
   let warm_r = Sat_reconstruct.batch ~repair:1 ~warm:w enc entries in

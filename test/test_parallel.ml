@@ -335,12 +335,32 @@ let test_single_core_check_pinned () =
   | Plan.Portfolio { jobs = 2; _ } -> ()
   | _ -> Alcotest.fail "jobs=2 unbudgeted check must race a portfolio"
 
-(* without jobs the whole log is one chunk, solved inline by exactly
-   the sequential batch call *)
+(* without jobs the whole pending list is one chunk, solved inline by
+   exactly one solver step; the log's k = 9, 10 entries are past the
+   meet's reach, so every entry is pending *)
 let test_batch_emit_one_chunk_without_jobs () =
-  let enc, log = fault_stream_instance 99 in
-  Alcotest.(check bool) "premise: more entries than one pooled chunk" true
-    (List.length log > Par_reconstruct.default_chunk);
+  let m = 24 and b = 14 in
+  let enc = Encoding.random_constrained ~m ~b ~seed:110 () in
+  let st = Random.State.make [| 99 |] in
+  let log =
+    List.init 12 (fun i ->
+        let en = Logger.abstract enc (Signal.random st ~m ~k:(9 + (i mod 2))) in
+        if i mod 3 = 0 then Fault.flip_tp en ~bits:[ Random.State.int st b ]
+        else en)
+  in
+  let shared = lazy (Presolve.shared enc)
+  and table = lazy (Combinatorial_reconstruct.pair_table enc) in
+  let pending =
+    List.filter_map
+      (fun en ->
+        match Sat_reconstruct.meet_step ~repair:1 ~shared ~table enc en with
+        | Sat_reconstruct.Pending p -> Some p
+        | Sat_reconstruct.Answered _ -> None)
+      log
+  in
+  Alcotest.(check bool) "premise: more pending entries than one pooled chunk"
+    true
+    (List.length pending > Par_reconstruct.default_chunk);
   let digest =
     List.map (fun (v, h, st) ->
         ( (match v with
@@ -351,18 +371,19 @@ let test_batch_emit_one_chunk_without_jobs () =
           st ))
   in
   let chunks = ref [] in
-  Par_reconstruct.batch_emit ~repair:1 enc log ~emit:(fun first results ->
+  Par_reconstruct.batch_emit enc pending ~emit:(fun first results ->
       chunks := (first, results) :: !chunks);
   match !chunks with
   | [ (0, results) ] ->
-      Alcotest.(check bool) "results = Sat_reconstruct.batch" true
-        (digest results = digest (Sat_reconstruct.batch ~repair:1 enc log))
+      Alcotest.(check bool) "results = Sat_reconstruct.solver_step" true
+        (digest results = digest (Sat_reconstruct.solver_step enc pending))
   | _ -> Alcotest.fail "expected exactly one chunk, at index 0"
 
 (* The repair ladder's meet rungs under entry-level parallelism: every
    entry here is a one-bit-flipped k = 5 entry that the rank check
-   refutes, so the meet answers rung 1 in each chunk, which builds its
-   own triple half. Every pool size gives the jobs = 1 answer. *)
+   refutes, so the meet answers rung 1, on the calling domain, which
+   forces the session's triple half; no entry reaches a worker. Every
+   pool size gives the jobs = 1 answer. *)
 let test_meet_rungs_across_domains () =
   let m = 40 in
   let enc = Encoding.random_constrained ~depth:4 ~seed:7 ~m ~b:60 () in

@@ -229,9 +229,23 @@ let test_batch_presolve_refutes () =
       Alcotest.(check int) "zero decisions" 0 st.Tp_sat.Solver.decisions;
       Alcotest.(check int) "zero propagations" 0 st.Tp_sat.Solver.propagations
   | _ -> Alcotest.fail "expected [witness; refuted]");
-  (* same verdicts with the presolve disabled (the solver ground it out) *)
+  (* same verdicts with the presolve disabled, where the solver grinds
+     them out: k = 9 entries, past the meet's reach, on m = 12
+     timestamps that never set bit 5 of b = 6 *)
+  let e =
+    Encoding.custom
+      (Array.init 12 (fun i -> Bitvec.of_int ~width:6 (1 + (i * 7 mod 31))))
+  in
+  let good =
+    Logger.abstract e (Signal.of_changes ~m:12 [ 0; 1; 2; 4; 5; 7; 8; 10; 11 ])
+  in
+  let bad = Log_entry.make ~tp:(Bitvec.of_int ~width:6 32) ~k:9 in
+  Alcotest.(check bool) "premise: bad is rank-refuted" true
+    (Presolve.refutes e bad);
   match Sat_reconstruct.batch ~presolve:false e [ good; bad ] with
-  | [ (`Signal _, _, _); (`Unsat, _, _) ] -> ()
+  | [ (`Signal _, _, st); (`Unsat, _, _) ] ->
+      Alcotest.(check bool) "the solver answered" true
+        (st <> Tp_sat.Solver.zero_stats)
   | _ -> Alcotest.fail "presolve must not change batch verdicts"
 
 let test_plan_refutes_for_free () =

@@ -632,68 +632,6 @@ let test_tcl_reconstruction_pruning () =
       Alcotest.(check bool) "every solution is periodic" true (Tcl.eval ~m c sol))
     signals
 
-(* ------------------------------------------------------------------ *)
-(* Trace database (Figure 3 storage)                                   *)
-
-let test_trace_db_roundtrip () =
-  let e = Encoding.random_constrained ~m:16 ~b:10 () in
-  let db = Trace_db.create ~capacity:4 e in
-  let entries =
-    List.init 6 (fun i ->
-        Logger.abstract e (Signal.of_changes ~m:16 [ i; i + 4 ]))
-  in
-  List.iter (Trace_db.append db) entries;
-  Alcotest.(check int) "total" 6 (Trace_db.total db);
-  Alcotest.(check int) "oldest after wear-out" 2 (Trace_db.oldest db);
-  Alcotest.(check bool) "cycle 0 worn out" true (Trace_db.entry db 0 = None);
-  Alcotest.(check bool) "cycle 9 not yet" true (Trace_db.entry db 9 = None);
-  (match Trace_db.entry db 3 with
-  | Some got -> Alcotest.check entry "cycle 3" (List.nth entries 3) got
-  | None -> Alcotest.fail "cycle 3 should be retrievable");
-  Alcotest.(check int) "window size" 3
-    (List.length (Trace_db.window db ~from_cycle:0 ~to_cycle:4));
-  Alcotest.(check int) "bits stored" (4 * (10 + 5)) (Trace_db.bits_stored db)
-
-let test_trace_db_time_lookup () =
-  let e = Encoding.bch ~m:1000 in
-  let db = Trace_db.create ~capacity:100_000 e in
-  (* 5 MHz bit clock: trace-cycles of 200 us, as in §5.2.1 *)
-  for i = 0 to 20_000 do
-    Trace_db.append db
-      (Logger.abstract e (Signal.of_changes ~m:1000 [ i mod 1000 ]))
-  done;
-  match Trace_db.entry_at_time db ~clock_hz:5e6 2.2534 with
-  | Some (i, _) -> Alcotest.(check int) "trace-cycle of 2.2534 s" 11267 i
-  | None -> Alcotest.fail "entry should exist"
-
-let test_trace_db_time_boundary () =
-  let m = 16 in
-  let e = Encoding.random_constrained ~m ~b:10 () in
-  let db = Trace_db.create ~capacity:8 e in
-  let entry0 = Logger.abstract e (Signal.of_changes ~m [ 1 ]) in
-  for _ = 1 to 4 do Trace_db.append db entry0 done;
-  (* non-finite and overflowing times answer None — int_of_float on
-     NaN or 1e300 is unspecified (0 on amd64), which used to alias
-     these queries to trace-cycle 0 *)
-  let none t = Trace_db.entry_at_time db ~clock_hz:16. t = None in
-  Alcotest.(check bool) "nan" true (none Float.nan);
-  Alcotest.(check bool) "huge" true (none 1e300);
-  Alcotest.(check bool) "inf" true (none Float.infinity);
-  Alcotest.(check bool) "negative" true (none (-1.));
-  (* a boundary time one ulp short of trace-cycle 2^26: an absolute
-     epsilon is smaller than one ulp at that magnitude, so the old
-     guard landed in the previous entry; the relative guard recovers
-     the boundary index *)
-  let i0 = 1 lsl 26 in
-  for _ = 1 to i0 - 3 do Trace_db.append db entry0 done;
-  (* clock_hz = m: one trace-cycle per second, cycles = time exactly *)
-  match
-    Trace_db.entry_at_time db ~clock_hz:(float_of_int m)
-      (Float.pred (float_of_int i0))
-  with
-  | Some (i, _) -> Alcotest.(check int) "boundary index" i0 i
-  | None -> Alcotest.fail "boundary entry should exist"
-
 let test_first_certified () =
   (* SAT side: finds a signal like first does *)
   let pb = Sat_reconstruct.problem fig4_encoding fig4_entry in
@@ -729,26 +667,26 @@ let test_trace_buffer_exact_until_overflow () =
   Alcotest.(check bool) "coverage 0.6" true
     (abs_float (Trace_buffer.coverage buf -. 0.6) < 1e-9)
 
-let test_trace_buffer_vs_trace_db_storage () =
+let test_trace_buffer_vs_timeprint_storage () =
   (* the §1 comparison at the §5.2.1 design point: for the same bursty
-     activity, the timeprint store's footprint is constant while the
+     activity, every timeprint entry costs the same bits while the
      precise buffer scales with activity *)
   let m = 1000 in
   let e = Encoding.bch ~m in
-  let db = Trace_db.create ~capacity:1000 e in
   let st = Random.State.make [| 1 |] in
-  let total_precise = ref 0 in
+  let stored = ref 0 and total_precise = ref 0 in
   for _ = 1 to 100 do
     let k = 50 + Random.State.int st 100 in
-    let s = Signal.random st ~m ~k in
-    Trace_db.append db (Logger.abstract e s);
+    let en = Logger.abstract e (Signal.random st ~m ~k) in
+    stored :=
+      !stored + Bitvec.width (Log_entry.tp en) + Design.counter_bits ~m;
     total_precise := !total_precise + Design.naive_bits ~m ~k
   done;
   Alcotest.(check int) "constant timeprint footprint"
     (100 * Design.bits_per_trace_cycle e)
-    (Trace_db.bits_stored db);
+    !stored;
   Alcotest.(check bool) "precise logging is much larger" true
-    (!total_precise > 10 * Trace_db.bits_stored db)
+    (!total_precise > 10 * !stored)
 
 let test_combinatorial_rejects_large_k () =
   let e = Encoding.one_hot ~m:8 in
@@ -992,6 +930,8 @@ let test_presolve_rank_refuted () =
   | `Unsat -> ()
   | _ -> Alcotest.fail "session first must be UNSAT"
 
+(* k = 9..12 entries, past the meet's reach, so the solver answers every
+   one in both modes *)
 let test_batch_gauss_modes_agree () =
   let m = 12 in
   let e = Encoding.random_constrained ~m ~b:10 ~seed:7 () in
@@ -999,11 +939,13 @@ let test_batch_gauss_modes_agree () =
     List.map
       (fun mask ->
         Logger.abstract e (Signal.of_bitvec (Bitvec.of_int ~width:m mask)))
-      [ 0b000011001100; 0b000000000101; 0b111100001111; 0b000000000000 ]
+      [ 0b111111111000; 0b110111011111; 0b111111111111; 0b011111110111 ]
   in
   let check label verdicts =
     List.iter2
-      (fun en (v, _, _) ->
+      (fun en (v, _, st) ->
+        Alcotest.(check bool) (label ^ ": solver work") true
+          (st <> Tp_sat.Solver.zero_stats);
         match v with
         | `Signal w ->
             Alcotest.check entry
@@ -1111,13 +1053,10 @@ let () =
           Alcotest.test_case "max_solutions cap" `Quick test_max_solutions_cap;
           Alcotest.test_case "combinatorial rejects k > 4" `Quick test_combinatorial_rejects_large_k;
           Alcotest.test_case "combinatorial fig4" `Quick test_combinatorial_fig4;
-          Alcotest.test_case "trace db wear-out" `Quick test_trace_db_roundtrip;
-          Alcotest.test_case "trace db time lookup" `Quick test_trace_db_time_lookup;
-          Alcotest.test_case "trace db boundary and overflow guards" `Quick
-            test_trace_db_time_boundary;
           Alcotest.test_case "certified UNSAT" `Quick test_first_certified;
           Alcotest.test_case "trace buffer overflow" `Quick test_trace_buffer_exact_until_overflow;
-          Alcotest.test_case "trace buffer vs db storage" `Quick test_trace_buffer_vs_trace_db_storage;
+          Alcotest.test_case "trace buffer vs db storage" `Quick
+            test_trace_buffer_vs_timeprint_storage;
           Alcotest.test_case "tcl eval basics" `Quick test_tcl_eval_basics;
           Alcotest.test_case "tcl periodic jitter guard" `Quick test_tcl_periodic_jitter_guard;
           Alcotest.test_case "tcl reconstruction pruning" `Quick test_tcl_reconstruction_pruning;
