@@ -1056,6 +1056,17 @@ let engines_grid ~full ~smoke () =
             (Printf.sprintf "%d/%d" m k)
             (Encoding.b enc) nullity chosen pp_time planner_s pp_time sat_s
             pp_opt linear_s pp_opt mitm_s;
+          (* the capped meet stops one past its cap, so it must beat
+             SAT where the whole preimage is about C(64,8)/2^13 ≈ 5·10⁵
+             signals *)
+          (match mitm_s with
+          | Some t when m = 64 && k = 8 && not (t < sat_s) ->
+              failwith
+                (Printf.sprintf
+                   "engines: forced meet enumerate <= 10 at m=64/k=8 took \
+                    %.3fs, not faster than forced SAT's %.3fs"
+                   t sat_s)
+          | _ -> ());
           engine_cells :=
             {
               ec_m = m;
@@ -1070,7 +1081,49 @@ let engines_grid ~full ~smoke () =
             }
             :: !engine_cells)
         ks)
-    rows
+    rows;
+  (* Properties prune: P2 and a window around the signal's changes,
+     Count <= 10. Auto runs it on the filtered, confined meet; its count
+     and exactness must equal forced SAT's, or the run fails. *)
+  Format.printf "@.with P2 and a window assumed (count <=10):@.";
+  Format.printf "%-9s %3s %-9s %-8s %10s %10s %8s@." "m/k" "b" "window"
+    "chosen" "planner" "sat" "count";
+  let m = 64 in
+  let enc = encoding_for m in
+  List.iter
+    (fun k ->
+      let s = constrained_signal ~m ~k in
+      let changes = Signal.changes s in
+      let lo = List.hd changes and hi = List.nth changes (k - 1) in
+      let q =
+        Query.make ~conflict_budget:!conflict_budget
+          ~assume:[ Property.p2; Property.window ~lo ~hi ]
+          ~answer:(Query.Count { max_solutions = Some 10 })
+          enc (Logger.abstract enc s)
+      in
+      let count engine =
+        let t, (outcome, report) = time (fun () -> Plan.run ~engine q) in
+        match outcome with
+        | Engine.Count (n, exact) -> (t, n, exact, report.Plan.chosen)
+        | _ -> failwith "engines: a count query returned another outcome"
+      in
+      let t_auto, n_auto, e_auto, chosen = count `Auto in
+      let t_sat, n_sat, e_sat, _ = count `Sat in
+      Format.printf "%-9s %3d %-9s %-8s %a %a %8s@."
+        (Printf.sprintf "%d/%d" m k)
+        (Encoding.b enc)
+        (Printf.sprintf "%d..%d" lo hi)
+        chosen pp_time t_auto pp_time t_sat
+        (Printf.sprintf "%d%s" n_auto (if e_auto = `Exact then "" else "+"));
+      if n_auto <> n_sat || e_auto <> e_sat then
+        failwith
+          (Printf.sprintf
+             "engines: P2+window count at m=%d/k=%d: auto %d%s, forced SAT %d%s"
+             m k n_auto
+             (if e_auto = `Exact then "" else "+")
+             n_sat
+             (if e_sat = `Exact then "" else "+")))
+    [ 3; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Multicore scaling (section "parallel") → BENCH_pr5.json: the

@@ -7,8 +7,24 @@ open Timeprint
    out" in a bounded ring: a result wears out once [capacity] newer
    stores have landed on its design, exactly when a [capacity]-slot
    ring would have overwritten its entry — without keeping the entry
-   itself, which no lookup reads. *)
-type slot = { s_cycle : int; s_outcome : Engine.outcome }
+   itself, which no lookup reads.
+
+   The result itself is one flat string as well: its store cycle (8
+   bytes) and then the marshalled outcome. A flat string holds a
+   cached witness in about half the words of the block graph it
+   encodes (variant, signal record, word array, slot record), and each
+   hit decodes a fresh copy, so no caller can alter a cached answer
+   through a returned signal. *)
+type slot = string
+
+let slot ~cycle (outcome : Engine.outcome) =
+  let b = Buffer.create 64 in
+  Buffer.add_int64_le b (Int64.of_int cycle);
+  Buffer.add_string b (Marshal.to_string outcome []);
+  Buffer.contents b
+
+let slot_cycle (s : slot) = Int64.to_int (String.get_int64_le s 0)
+let slot_outcome (s : slot) : Engine.outcome = Marshal.from_string s 8
 
 type shard = {
   sh_m : int;
@@ -98,7 +114,7 @@ let lookup t ~design enc entry ~fingerprint =
               t.misses <- t.misses + 1;
               None
           | Some slot ->
-              if worn_out t sh slot.s_cycle then begin
+              if worn_out t sh (slot_cycle slot) then begin
                 Hashtbl.remove sh.sh_tbl k;
                 t.evictions <- t.evictions + 1;
                 t.misses <- t.misses + 1;
@@ -106,7 +122,7 @@ let lookup t ~design enc entry ~fingerprint =
               end
               else begin
                 t.hits <- t.hits + 1;
-                Some slot.s_outcome
+                Some (slot_outcome slot)
               end))
 
 (* Sweep worn-out keys so the table tracks the last [capacity] stores
@@ -116,7 +132,8 @@ let sweep t sh =
   if Hashtbl.length sh.sh_tbl > 2 * t.capacity then begin
     let dead =
       Hashtbl.fold
-        (fun k slot acc -> if worn_out t sh slot.s_cycle then k :: acc else acc)
+        (fun k slot acc ->
+          if worn_out t sh (slot_cycle slot) then k :: acc else acc)
         sh.sh_tbl []
     in
     List.iter (Hashtbl.remove sh.sh_tbl) dead;
@@ -127,7 +144,7 @@ let store t ~design enc entry ~fingerprint outcome =
   locked t (fun () ->
       let sh = shard t ~design enc in
       Hashtbl.replace sh.sh_tbl (key entry ~fingerprint)
-        { s_cycle = sh.sh_total; s_outcome = outcome };
+        (slot ~cycle:sh.sh_total outcome);
       sh.sh_total <- sh.sh_total + 1;
       sweep t sh)
 

@@ -8,9 +8,11 @@
     newer results have been stored for that design, exactly when a
     [capacity]-slot ring would have overwritten its entry. Only the
     counter is kept, not the entries. Each result is filed under one
-    string (timeprint bits, k, fingerprint). A design reloaded with a
-    different encoding drops its shard (those results answer a
-    different linear system).
+    string (timeprint bits, k, fingerprint) and kept as one string
+    (its store stamp and the marshalled outcome), so a hit returns a
+    fresh copy of the outcome. A design reloaded with a different
+    encoding drops its shard (those results answer a different linear
+    system).
 
     Thread-safe. Only single-entry planner queries are cached; stream
     triage is deliberately not — a partially-cached stream would

@@ -1,8 +1,8 @@
 open Tp_bitvec
 
-let supported ~k = k >= 0 && k <= 8
+let supported ~k = k >= 0 && k <= 10
 
-let unsupported () = invalid_arg "Combinatorial_reconstruct: k > 8 unsupported"
+let unsupported () = invalid_arg "Combinatorial_reconstruct: k > 10 unsupported"
 
 (* ---- Linear 62-bit keys --------------------------------------------- *)
 
@@ -54,7 +54,14 @@ let idx_mask = (1 lsl idx_bits) - 1
    of tripping the guard. *)
 let triples_limit = 1 lsl 23
 
-(* C(m, r), exact while C(m, r − 1) · m fits an int: r ≤ 5 at the
+(* k = 9, 10 probe C(w, 6) and C(w, 7) subsets against the same
+   resident triple half. A full sweep there (the empty-preimage case)
+   measured 17–29 ms at k = 9 and 51–91 ms at k = 10 on m = 32, against
+   SAT's 8–20 ms, so those two take the meet only below the SAT
+   baseline's 2^20 steps ([Sat_reconstruct.cost_baseline]). *)
+let deep_limit = 1 lsl 20
+
+(* C(m, r), exact while C(m, r − 1) · m fits an int: r ≤ 7 at the
    m ≤ 368 the triple cap admits, and r = 3 up to the payload width *)
 let choose m r =
   let c = ref 1 in
@@ -70,20 +77,45 @@ let triples_feasible m = m >= 0 && choose m 3 <= triples_limit
    enumerates the other k − h. *)
 let half_size k = if k <= 2 then k else min 3 ((k + 1) / 2)
 
-let feasible enc ~k =
-  let m = Encoding.m enc in
+(* The columns [lo, hi] the assumed properties leave to the changes:
+   the intersection of every Window and of the hull of every Allowed
+   (inside conjunctions too), within [0, m − 1]. Empty when lo > hi. *)
+let span ~m assume =
+  let rec narrow ((lo, hi) as acc) = function
+    | Property.Window { lo = l; hi = h } -> (max lo l, min hi h)
+    | Property.Allowed ws ->
+        List.fold_left
+          (fun (l, h) (a, b) -> if a > b then (l, h) else (min l a, max h b))
+          (max_int, min_int) ws
+        |> fun (l, h) -> (max lo l, min hi h)
+    | Property.And ps -> List.fold_left narrow acc ps
+    | _ -> acc
+  in
+  List.fold_left narrow (0, m - 1) assume
+
+let width ~m assume =
+  let lo, hi = span ~m assume in
+  max 0 (hi - lo + 1)
+
+let feasible_in enc ~w ~k =
   k >= 0
   && (k <= 4
-     || (supported ~k && triples_feasible m
-        && choose m (k - half_size k) <= triples_limit))
+     || supported ~k
+        && triples_feasible (Encoding.m enc)
+        &&
+        let probes = choose (max 0 w) (k - half_size k) in
+        probes <= triples_limit && (k <= 8 || probes < deep_limit))
 
-(* log₂ of the meet's probe count, C(m, k − h). A probe is O(1) — two
-   directory slots and a run of a few entries — so it counts as one
-   step. k ≤ 2 is a single lookup and keeps its log₂ m price, so the
-   planner's choices there stay as they were. *)
+let feasible enc ~k = feasible_in enc ~w:(Encoding.m enc) ~k
+
+(* log₂ of the meet's probe count, C(m, k − h), over the m columns it
+   sweeps. A probe is O(1) — two directory slots and a run of a few
+   entries — so it counts as one step. k ≤ 2 is a single lookup and
+   keeps its log₂ m price, so the planner's choices there stay as they
+   were. Fewer columns than probe indices sweep nothing: 0 bits. *)
 let cost_bits ~m ~k =
   if k <= 2 then log (float_of_int (max 1 m)) /. log 2.
-  else Signal.log2_choose m (k - half_size k)
+  else Float.max 0. (Signal.log2_choose m (k - half_size k))
 
 (* Stable LSD radix sort of the parallel (keys, pays) arrays by key,
    11-bit digits. Comparison sorts lose here: a comparator call (even
@@ -234,26 +266,31 @@ let table_for ?table enc =
    h largest, enforced by requiring the table half's minimum index to
    exceed the probe side's maximum. Probe loops stop where fewer than
    h indices remain above them, which skips only probes that cannot
-   hit, so the probe order — and the first witness — is unchanged. *)
+   hit. Probes run in lexicographic order and a directory run lists
+   its payloads in increasing order, so candidates arrive
+   lexicographically ordered by their change lists.
+
+   A span [lo, hi] confines the sweep: probe indices start at lo and
+   stop where the remaining indices no longer fit below hi, and a hit
+   whose largest table-side index exceeds hi is skipped. The full span
+   [0, m − 1] is the unconfined meet, probe for probe. *)
 
 let verify enc tp changes =
   let acc = Bitvec.create (Bitvec.width tp) in
   List.iter (fun i -> Bitvec.xor_in_place acc (Encoding.timestamp enc i)) changes;
   Bitvec.equal acc tp
 
-(* [meet] drives every k ∈ [0, 8]: [emit] receives each candidate
-   change list (already canonical, possibly unverified when the table
-   is not exact). *)
-let meet t enc entry emit =
+(* [sweep] drives every k ∈ [0, 10]: [emit] receives each candidate
+   change list inside the span (already canonical, possibly unverified
+   when the table is not exact). *)
+let sweep t enc entry ~lo ~hi emit =
   let k = Log_entry.k entry in
-  if not (supported ~k) then unsupported ();
   let tp = Log_entry.tp entry in
   (* the unchecked directory reads below rely on it *)
   if Bitvec.width tp <> t.t_b then
     invalid_arg "Combinatorial_reconstruct: timeprint width <> encoding b";
   if k = 0 then (if Bitvec.is_zero tp then emit [])
-  else begin
-    let m = t.t_m in
+  else if hi - lo + 1 >= k then begin
     let tp_key = if t.t_exact then Bitvec.get_word tp 0 else key_wide tp in
     let h = half_size k in
     let { keys; pays; dir; shift } =
@@ -276,7 +313,9 @@ let meet t enc entry emit =
     if r = 0 then
       let s = tp_key lsr shift in
       for j = dir.(s) to dir.(s + 1) - 1 do
-        if shift = 0 || keys.(j) = tp_key then hit pays.(j)
+        if shift = 0 || keys.(j) = tp_key then
+          let pay = pays.(j) in
+          if pay lsr top >= lo && pay land idx_mask <= hi then hit pay
       done
     else begin
       (* The innermost probe level reads the directory inline: without
@@ -285,58 +324,71 @@ let meet t enc entry emit =
          of b-bit (or 62-bit folded) keys, so [key lsr shift] is a
          slot, and a slot's bounds are positions of the half. *)
       let t_key = t.t_key in
-      let rec go d lo key =
+      let rec go d from key =
         if d = r - 1 then
-          for i = lo to m - h - 1 do
+          for i = from to hi - h do
             Array.unsafe_set probe d i;
             let key = key lxor Array.unsafe_get t_key i in
             let s = key lsr shift in
             for j = Array.unsafe_get dir s to Array.unsafe_get dir (s + 1) - 1 do
               if shift = 0 || Array.unsafe_get keys j = key then
                 let pay = Array.unsafe_get pays j in
-                if pay lsr top > i then hit pay
+                if pay lsr top > i && pay land idx_mask <= hi then hit pay
             done
           done
         else
-          for i = lo to m - k + d do
+          for i = from to hi + 1 - k + d do
             Array.unsafe_set probe d i;
             go (d + 1) (i + 1) (key lxor Array.unsafe_get t_key i)
           done
       in
-      go 0 0 tp_key
+      go 0 lo tp_key
     end
   end
 
-let preimage ?max_solutions ?table enc entry =
+let search ?(assume = []) ?table enc entry visit =
   let k = Log_entry.k entry in
   if not (supported ~k) then unsupported ();
   let t = table_for ?table enc in
   let m = t.t_m in
-  let out = ref [] in
-  meet t enc entry (fun changes -> out := Signal.of_changes ~m changes :: !out);
-  let sols = List.sort_uniq Signal.compare !out in
-  match max_solutions with
-  | None -> sols
-  | Some n -> List.filteri (fun i _ -> i < n) sols
+  let lo, hi = span ~m assume in
+  let exception Stop in
+  match
+    sweep t enc entry ~lo ~hi (fun changes ->
+        let s = Signal.of_changes ~m changes in
+        if List.for_all (fun p -> Property.eval p s) assume && not (visit s)
+        then raise_notrace Stop)
+  with
+  | () -> true
+  | exception Stop -> false
 
 let preimage_with ?max_solutions ?table enc entry ~assume =
-  let keep s = List.for_all (fun p -> Property.eval p s) assume in
-  let all = List.filter keep (preimage ?table enc entry) in
+  let out = ref [] in
   match max_solutions with
-  | None -> all
-  | Some n -> List.filteri (fun i _ -> i < n) all
+  | None ->
+      ignore
+        (search ~assume ?table enc entry (fun s ->
+             out := s :: !out;
+             true));
+      List.sort Signal.compare !out
+  | Some n ->
+      let left = ref n in
+      ignore
+        (search ~assume ?table enc entry (fun s ->
+             if !left > 0 then begin
+               out := s :: !out;
+               decr left
+             end;
+             !left > 0));
+      List.rev !out
 
-exception Found of Signal.t
+let preimage ?max_solutions ?table enc entry =
+  preimage_with ?max_solutions ?table enc entry ~assume:[]
 
-let first ?(assume = []) ?table enc entry =
-  let k = Log_entry.k entry in
-  if not (supported ~k) then unsupported ();
-  let keep s = List.for_all (fun p -> Property.eval p s) assume in
-  let t = table_for ?table enc in
-  let m = t.t_m in
-  try
-    meet t enc entry (fun changes ->
-        let s = Signal.of_changes ~m changes in
-        if keep s then raise (Found s));
-    None
-  with Found s -> Some s
+let first ?assume ?table enc entry =
+  let found = ref None in
+  ignore
+    (search ?assume ?table enc entry (fun s ->
+         found := Some s;
+         false));
+  !found

@@ -86,38 +86,54 @@ let capped_outcome (answer : Query.answer) enumerate =
      else Enumeration { signals; complete }),
     extra )
 
-(* The two exact (list-producing) oracles enumerate the assume-filtered
-   preimage, so First / Enumerate / Count / Check all reduce to one
-   list computation. *)
-let exact_outcome (q : Query.t)
-    ~(preimage : ?max_solutions:int -> unit -> Signal.t list)
-    ~(first : unit -> Signal.t option) =
+(* The two exact oracles hand their assume-filtered preimage to a
+   [search] callback that returns [false] to stop the sweep, and
+   reports whether the sweep ran to its end. Every answer stops as soon
+   as it is decided: [First] at the first member, a capped answer one
+   past its cap, [Check] once it holds a member that satisfies the
+   property and one that violates it. An uncapped answer is sorted; a
+   capped one keeps the oracle's order. *)
+let exact_outcome (q : Query.t) ~(search : (Signal.t -> bool) -> bool) =
   match q.answer with
-  | Query.First -> (
-      match first () with
-      | Some s -> Verdict (`Signal s)
-      | None -> Verdict `Unsat)
+  | Query.First ->
+      let found = ref None in
+      ignore
+        (search (fun s ->
+             found := Some s;
+             false));
+      Verdict (match !found with Some s -> `Signal s | None -> `Unsat)
   | Query.Enumerate _ | Query.Count _ ->
       fst
-        (capped_outcome q.answer (fun max_solutions ->
-             (preimage ?max_solutions (), true, ())))
+        (capped_outcome q.answer (fun cap ->
+             let out = ref [] and n = ref 0 in
+             let complete =
+               search (fun s ->
+                   out := s :: !out;
+                   incr n;
+                   match cap with Some c -> !n < c | None -> true)
+             in
+             ( (if cap = None then List.sort Signal.compare !out
+                else List.rev !out),
+               complete,
+               () )))
   | Query.Check p ->
-      let all = preimage () in
+      let holds = ref false and violated = ref false in
+      ignore
+        (search (fun s ->
+             if Property.eval p s then holds := true else violated := true;
+             not (!holds && !violated)));
       Check
-        (match all with
-        | [] -> `Vacuous
-        | _ ->
-            let holds = List.filter (Property.eval p) all in
-            if List.length holds = List.length all then `Holds_in_all
-            else if holds = [] then `Violated_in_all
-            else `Mixed)
+        (match (!holds, !violated) with
+        | false, false -> `Vacuous
+        | true, false -> `Holds_in_all
+        | false, true -> `Violated_in_all
+        | true, true -> `Mixed)
   | Query.Certified ->
       invalid_arg "Engine: exact oracles cannot certify; guarded by capable"
-  | Query.Repair _ ->
-      invalid_arg "Engine: exact oracles cannot repair; guarded by capable"
+  | Query.Repair _ -> invalid_arg "Engine: a repair climbs the ladder"
 
 let no_certificate = "cannot produce a DRAT certificate"
-let no_repair = "cannot repair corrupted entries"
+let ladder_only = "repair: the ladder answers it (Engine.ladder)"
 
 (* The Parallel capability: which answers survive cube-and-conquer
    splitting. First/Enumerate/Count partition over cubes; the other
@@ -139,37 +155,16 @@ let parallelizable (q : Query.t) =
 let sat_problem (q : Query.t) =
   Sat_reconstruct.problem ~assume:q.assume q.encoding q.entry
 
-(* A ladder witness [s] as a repair: the flipped bits are those of
-   [TP ⊕ A·s], the counter deviation is [|s| − k]. *)
-let repair_verdict (q : Query.t) = function
-  | `Signal s ->
-      let flips =
-        Bitvec.indices
-          (Bitvec.logxor (Log_entry.tp q.entry)
-             (Log_entry.tp (Logger.abstract q.encoding s)))
-      in
-      let k_delta = Signal.num_changes s - Log_entry.k q.entry in
-      if flips = [] && k_delta = 0 then `Clean s
-      else
-        `Repaired
-          { Sat_reconstruct.r_signal = s; r_flips = flips; r_k_delta = k_delta }
-  | `Unsat -> `Unrepairable
-  | `Unknown -> `Unknown
-
 let sat =
   {
     name = "sat";
-    capable = (fun _ _ -> Ok ());
-    (* the flat SAT baseline ([Sat_reconstruct.cost_baseline]); repair
-       adds a solve per budget split on top of it *)
-    cost_bits =
+    capable =
       (fun _ q ->
-        match q.answer with
-        | Query.Repair { max_flips; _ } ->
-            Sat_reconstruct.cost_baseline +. float_of_int max_flips
-        | _ -> Sat_reconstruct.cost_baseline);
+        match q.answer with Query.Repair _ -> Error ladder_only | _ -> Ok ());
+    (* the flat SAT baseline ([Sat_reconstruct.cost_baseline]) *)
+    cost_bits = (fun _ _ -> Sat_reconstruct.cost_baseline);
     run =
-      (fun ctx q ->
+      (fun _ q ->
         let pb = sat_problem q in
         let budget = q.conflict_budget in
         let gauss_detail =
@@ -204,38 +199,7 @@ let sat =
         | Query.Certified ->
             let c = Sat_reconstruct.first_certified ?conflict_budget:budget pb in
             (Certified c, [ stage "sat.certified" ])
-        | Query.Repair { max_flips; k_slack } ->
-            let table =
-              match ctx.table with
-              | Some t -> t
-              | None -> lazy (Combinatorial_reconstruct.pair_table q.encoding)
-            in
-            let verdict, route, stats =
-              match
-                Sat_reconstruct.meet_step ~assume:q.assume ~k_slack
-                  ~repair:max_flips
-                  ~shared:(lazy (Presolve.shared q.encoding))
-                  ~table q.encoding q.entry
-              with
-              | Sat_reconstruct.Answered (v, _, `Presolve) ->
-                  (v, "presolve", None)
-              | Sat_reconstruct.Answered (v, _, `Mitm) -> (v, "mitm", None)
-              | Sat_reconstruct.Pending p -> (
-                  match
-                    Sat_reconstruct.solver_step ~assume:q.assume
-                      ?conflict_budget:budget q.encoding [ p ]
-                  with
-                  | [ (v, _, st) ] -> (v, "sat", Some st)
-                  | _ -> assert false)
-            in
-            ( Repair (repair_verdict q verdict),
-              [
-                {
-                  stage = "sat.repair";
-                  detail = "ladder answered by " ^ route;
-                  stats;
-                };
-              ] ));
+        | Query.Repair _ -> invalid_arg ladder_only);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -248,7 +212,7 @@ let linear =
       (fun ctx q ->
         match q.answer with
         | Query.Certified -> Error no_certificate
-        | Query.Repair _ -> Error no_repair
+        | Query.Repair _ -> Error ladder_only
         | _ ->
             if ctx.nullity > Linear_reconstruct.max_nullity then
               Error
@@ -262,14 +226,12 @@ let linear =
         +. (log (float_of_int (Encoding.m q.encoding)) /. log 2.));
     run =
       (fun ctx q ->
-        let preimage ?max_solutions () =
-          Linear_reconstruct.preimage_with ?max_solutions q.encoding q.entry
-            ~assume:q.assume
+        let search visit =
+          List.for_all visit
+            (Linear_reconstruct.preimage_with q.encoding q.entry
+               ~assume:q.assume)
         in
-        let first () =
-          match preimage ~max_solutions:1 () with s :: _ -> Some s | [] -> None
-        in
-        ( exact_outcome q ~preimage ~first,
+        ( exact_outcome q ~search,
           [
             {
               stage = "linear.coset";
@@ -285,6 +247,11 @@ let linear =
 let sat_cost_baseline = Sat_reconstruct.cost_baseline
 let mitm_cost_bits = Combinatorial_reconstruct.cost_bits
 
+(* The meet sweeps only the columns the assumed Window/Allowed leave,
+   so it is judged and priced over that span's width. *)
+let mitm_width (q : Query.t) =
+  Combinatorial_reconstruct.width ~m:(Encoding.m q.encoding) q.assume
+
 let mitm =
   {
     name = "mitm";
@@ -292,46 +259,105 @@ let mitm =
       (fun _ q ->
         match q.answer with
         | Query.Certified -> Error no_certificate
-        | Query.Repair _ -> Error no_repair
+        | Query.Repair _ -> Error ladder_only
         | _ ->
-            let k = Log_entry.k q.entry in
+            let k = Log_entry.k q.entry and w = mitm_width q in
             if not (Combinatorial_reconstruct.supported ~k) then
-              Error (Printf.sprintf "k=%d > 8" k)
-            else if not (Combinatorial_reconstruct.feasible q.encoding ~k) then
+              Error (Printf.sprintf "k=%d > 10" k)
+            else if not (Combinatorial_reconstruct.feasible_in q.encoding ~w ~k)
+            then
               Error
                 (Printf.sprintf
-                   "k=%d: triple table or probe count over its cap at m=%d" k
-                   (Encoding.m q.encoding))
+                   "k=%d: triple table or probe count over its cap at m=%d, \
+                    %d columns"
+                   k (Encoding.m q.encoding) w)
             else Ok ());
     cost_bits =
-      (fun _ q ->
-        mitm_cost_bits ~m:(Encoding.m q.encoding) ~k:(Log_entry.k q.entry));
+      (fun _ q -> mitm_cost_bits ~m:(mitm_width q) ~k:(Log_entry.k q.entry));
     run =
       (fun ctx q ->
         let k = Log_entry.k q.entry in
         let table = Option.map Lazy.force ctx.table in
-        let preimage ?max_solutions () =
-          Combinatorial_reconstruct.preimage_with ?max_solutions ?table
-            q.encoding q.entry ~assume:q.assume
-        in
-        let first () =
-          Combinatorial_reconstruct.first ~assume:q.assume ?table q.encoding
+        let search =
+          Combinatorial_reconstruct.search ~assume:q.assume ?table q.encoding
             q.entry
         in
-        ( exact_outcome q ~preimage ~first,
+        let lo, hi =
+          Combinatorial_reconstruct.span ~m:(Encoding.m q.encoding) q.assume
+        in
+        let probes half r =
+          Printf.sprintf "k=%d, %s-half meet, C(%d,%d) probes over cycles %d..%d"
+            k half (mitm_width q) r lo hi
+        in
+        ( exact_outcome q ~search,
           [
             {
               stage = "mitm.meet";
               detail =
                 (if k <= 2 then Printf.sprintf "k=%d, one directory lookup" k
-                 else if k <= 4 then
-                   Printf.sprintf "k=%d, pair-half meet, C(m,%d) probes" k (k - 2)
-                 else
-                   Printf.sprintf "k=%d, triple-half meet, C(m,%d) probes" k
-                     (k - 3));
+                 else if k <= 4 then probes "pair" (k - 2)
+                 else probes "triple" (k - 3));
               stats = None;
             };
           ] ));
   }
 
 let all = [ mitm; linear; sat ]
+
+(* ------------------------------------------------------------------ *)
+(* The repair ladder *)
+
+(* A ladder witness [s] as a repair: the flipped bits are those of
+   [TP ⊕ A·s], the counter deviation is [|s| − k]. *)
+let repair_verdict (q : Query.t) = function
+  | `Signal s ->
+      let flips =
+        Bitvec.indices
+          (Bitvec.logxor (Log_entry.tp q.entry)
+             (Log_entry.tp (Logger.abstract q.encoding s)))
+      in
+      let k_delta = Signal.num_changes s - Log_entry.k q.entry in
+      if flips = [] && k_delta = 0 then `Clean s
+      else
+        `Repaired
+          { Sat_reconstruct.r_signal = s; r_flips = flips; r_k_delta = k_delta }
+  | `Unsat -> `Unrepairable
+  | `Unknown -> `Unknown
+
+(* Priced as one SAT solve per budget split, whatever rung answers. *)
+let ladder_cost_bits (q : Query.t) =
+  match q.answer with
+  | Query.Repair { max_flips; _ } ->
+      Sat_reconstruct.cost_baseline +. float_of_int max_flips
+  | _ -> invalid_arg "Engine.ladder_cost_bits: not a Repair answer"
+
+let ladder ctx (q : Query.t) =
+  let max_flips, k_slack =
+    match q.answer with
+    | Query.Repair { max_flips; k_slack } -> (max_flips, k_slack)
+    | _ -> invalid_arg "Engine.ladder: not a Repair answer"
+  in
+  let table =
+    match ctx.table with
+    | Some t -> t
+    | None -> lazy (Combinatorial_reconstruct.pair_table q.encoding)
+  in
+  let verdict, step, stats =
+    match
+      Sat_reconstruct.meet_step ~assume:q.assume ~k_slack ~repair:max_flips
+        ~shared:(lazy (Presolve.shared q.encoding))
+        ~table q.encoding q.entry
+    with
+    | Sat_reconstruct.Answered (v, _, `Presolve) -> (v, "presolve", None)
+    | Sat_reconstruct.Answered (v, _, `Mitm) -> (v, "mitm", None)
+    | Sat_reconstruct.Pending p -> (
+        match
+          Sat_reconstruct.solver_step ~assume:q.assume
+            ?conflict_budget:q.conflict_budget q.encoding [ p ]
+        with
+        | [ (v, _, st) ] -> (v, "sat", Some st)
+        | _ -> assert false)
+  in
+  ( step,
+    Repair (repair_verdict q verdict),
+    [ { stage = step ^ ".repair"; detail = "ladder answered by " ^ step; stats } ] )

@@ -60,11 +60,11 @@ val context : ?rank:int -> ?table:Combinatorial_reconstruct.table Lazy.t -> Quer
 
 val sat_cost_baseline : float
 (** {!Sat_reconstruct.cost_baseline}: the flat [cost_bits] the SAT
-    adapter reports for non-repair queries. *)
+    adapter reports. *)
 
 val mitm_cost_bits : m:int -> k:int -> float
 (** {!Combinatorial_reconstruct.cost_bits}: the MITM adapter's cost
-    model. *)
+    model, over the [m] columns it sweeps. *)
 
 val refuted_outcome : Query.t -> outcome
 (** The answer to a query whose entry the presolve rank check refuted:
@@ -93,27 +93,51 @@ val parallelizable : Query.t -> (unit, string) result
     [Check] — two dependent solves on one incremental solver). *)
 
 val sat : t
-(** The CDCL + XOR + cardinality oracle. Capable of everything,
-    including [Certified] and [Repair]; runs with [presolve = true] and
-    the [auto_gauss] policy. A [Repair] climbs the repair ladder
-    ({!Sat_reconstruct.meet_step}, then {!Sat_reconstruct.solver_step}
-    on the one entry), so its bottom rungs run on the meet against the
-    context's table; the repair's flipped bits are those of [TP ⊕ A·s]
-    for the witness [s], its counter deviation [|s| − k]. *)
+(** The CDCL + XOR + cardinality oracle. Capable of every answer but
+    [Repair] (which {!ladder} answers), including [Certified]; runs
+    with [presolve = true] and the [auto_gauss] policy. *)
 
 val linear : t
 (** Coset enumeration over [x₀ + ker A]. Capable when the nullity is at
     most {!Linear_reconstruct.max_nullity} and the query is neither
-    [Certified] nor [Repair] (the exact oracles solve [A·x = TP] as
-    given — they cannot relax it); cost grows as [2^nullity]. *)
+    [Certified] nor [Repair]; cost grows as [2^nullity]. *)
 
 val mitm : t
-(** Meet-in-the-middle half-sum join. Capable when [k ≤ 8] (for
-    [k ∈ [5, 8]] the triple table and the meet's [C(m, k − 3)] probes
-    within their cap, see {!Combinatorial_reconstruct.feasible}) and
-    the query is neither [Certified] nor [Repair]; one directory
-    lookup for [k ≤ 2], pair-half and triple-half meets of
-    {!Combinatorial_reconstruct.cost_bits} probes beyond. *)
+(** Meet-in-the-middle half-sum join over the columns the assumed
+    [Window]/[Allowed] leave ({!Combinatorial_reconstruct.span}, [w]
+    of them). Capable when [k ≤ 10], the meet over [w] columns is
+    {!Combinatorial_reconstruct.feasible_in} (the triple table and the
+    probe count within their caps; [k = 9, 10] only below the SAT
+    baseline) and the query is neither [Certified] nor [Repair]; one
+    directory lookup for [k ≤ 2], pair-half and triple-half meets of
+    [Combinatorial_reconstruct.cost_bits ~m:w] probes beyond. Every
+    answer runs on the one filtered generator
+    ({!Combinatorial_reconstruct.search}) and stops once decided:
+    [First] at the first witness, [Enumerate]/[Count] one past the
+    cap (returning the first members in probe order), [Check] at the
+    first pair of a satisfying and a violating witness. *)
 
 val all : t list
 (** [[mitm; linear; sat]] — cheapest-regime first. *)
+
+(** {1 The repair ladder}
+
+    No single engine answers a [Repair]: it climbs
+    {!Sat_reconstruct.meet_step} (the rank check and the rungs the
+    meet is priced to take, assumed properties filtering and confining
+    them) and, for what is left, {!Sat_reconstruct.solver_step} on the
+    one entry. *)
+
+val ladder : ctx -> Query.t -> string * outcome * stage list
+(** Answer a [Repair] query on the ladder, against the context's table
+    (or a fresh one). Returns the step that answered — ["presolve"]
+    (no rung ran), ["mitm"] (the meet answered, or swept every rung in
+    vain) or ["sat"] — with the outcome and one stage. The repair's
+    flipped bits are those of [TP ⊕ A·s] for the witness [s], its
+    counter deviation [|s| − k]. Raises [Invalid_argument] on any other
+    answer. *)
+
+val ladder_cost_bits : Query.t -> float
+(** A [Repair]'s price: {!Sat_reconstruct.cost_baseline} plus one per
+    flip of budget, whichever step answers. Raises [Invalid_argument]
+    on any other answer. *)

@@ -32,23 +32,22 @@ type report = {
 }
 
 (* Policy eligibility on top of raw capability: the auto planner only
-   hands MITM property-free queries (the filter is exact but defeats
-   the early exit), at k ≥ 7 only [First] ones (the meet answers any
-   other by building the whole preimage, C(m,k)/2^b signals), and
-   only hands linear a coset it can sweep faster than a SAT warm-up.
-   A k ≥ 7 [First] is bounded by [feasible]'s probe cap alone: a full
-   sweep at the cap edge (m = 120) still beats SAT (EXPERIMENTS.md). *)
+   hands linear a coset it can sweep faster than a SAT warm-up, and the
+   meet a [Check] only where its whole sweep is priced below SAT. Every
+   other meet answer stops early — at a witness, one past a cap — and
+   its capability already bounds its probes (admitting k = 9, 10 only
+   below the SAT price); a check stops only once it holds a satisfying
+   and a violating witness, which in probe order can be the last ones
+   (m = 64, k = 8: 0.6 s of filtering against SAT's 25 ms). *)
 let policy_eligible (ctx : Engine.ctx) (q : Query.t) (e : Engine.t) =
   match e.Engine.capable ctx q with
   | Error reason -> Error reason
   | Ok () ->
-      if e.Engine.name = "mitm" && q.assume <> [] then
-        Error "policy: properties assumed"
-      else if
+      if
         e.Engine.name = "mitm"
-        && Log_entry.k q.entry >= 7
-        && match q.answer with Query.First -> false | _ -> true
-      then Error "policy: k >= 7 and not First (whole preimage)"
+        && (match q.answer with Query.Check _ -> true | _ -> false)
+        && e.Engine.cost_bits ctx q >= Sat_reconstruct.cost_baseline
+      then Error "policy: a check may sweep every probe, priced over SAT"
       else if
         e.Engine.name = "linear" && ctx.Engine.nullity > linear_nullity_threshold
       then
@@ -230,68 +229,66 @@ let run_in ?(engine = `Auto) ?jobs (s : session) (q : Query.t) =
     in
     (outcome, base e.Engine.name presolve parallel considered fallbacks stages)
   in
-  match engine with
-  | (`Sat | `Linear | `Mitm) as f -> (
-      let name =
-        match f with `Sat -> "sat" | `Linear -> "linear" | `Mitm -> "mitm"
-      in
-      let e = Option.get (forced name) in
-      match e.Engine.capable ctx q with
-      | Ok () -> run_engine `Skipped [ (name, `Cost (e.Engine.cost_bits ctx q)) ] e
-      | Error reason ->
-          (* an incapable forced engine silently falls through to SAT *)
-          run_engine
-            ~fallbacks:[ (name, reason) ]
-            `Skipped
-            [ (name, `Rejected reason) ]
-            Engine.sat)
-  | `Auto -> (
+  (* auto runs the rank check first; a forced engine, and a Certified
+     query (which must produce a DRAT refutation), skip it *)
+  let presolve =
+    match (engine, q.answer) with
+    | `Auto, Query.Certified | (`Sat | `Linear | `Mitm), _ -> `Skipped
+    | `Auto, _ -> (
+        match Presolve.run q.encoding q.entry with
+        | `Unsat -> `Refuted
+        | `Reduced p -> `Reduced p.Presolve.stats)
+  in
+  match (q.answer, presolve) with
+  | Query.Repair { max_flips; _ }, _
+    when not (presolve = `Refuted && max_flips = 0) ->
+      (* every repair climbs the one ladder, whatever engine was asked
+         for: its meet rungs, then the solver; the report names the
+         step that answered. A rank refutation still pays for itself:
+         the ladder skips every zero-flip rung. *)
+      let step, outcome, stages = Engine.ladder ctx q in
       let presolve =
-        match q.answer with
-        | Query.Certified -> `Skipped
-        | _ -> (
-            match Presolve.run q.encoding q.entry with
-            | `Unsat -> `Refuted
-            | `Reduced p -> `Reduced p.Presolve.stats)
+        match (presolve, outcome) with
+        | `Refuted, Engine.Repair (`Repaired _) -> `Refuted_but_repairable
+        | _ -> presolve
       in
-      match presolve with
-      | `Refuted -> (
-          match q.answer with
-          | Query.Repair { max_flips; _ } when max_flips > 0 ->
-              (* the clean system is inconsistent, but the query brought
-                 an error budget: the repair ladder, which the SAT
-                 adapter runs, searches the relaxation. Its meet rungs
-                 go first, and the rank refutation still pays for
-                 itself — the ladder skips every zero-flip rung. *)
-              let considered =
-                [ ("sat", `Cost (Engine.sat.Engine.cost_bits ctx q)) ]
-              in
-              let outcome, stages = Engine.sat.Engine.run ctx q in
-              let presolve =
-                match outcome with
-                | Engine.Repair (`Repaired _) -> `Refuted_but_repairable
-                | _ -> `Refuted
-              in
-              let parallel =
-                match parallel_plan with
-                | `Off -> Off
-                | `Pinned r -> Pinned r
-                | `Cubes _ | `Race _ ->
-                    assert false (* Repair is never cubed or raced *)
-              in
-              (outcome, base "sat" presolve parallel considered [] stages)
-          | _ ->
-              let parallel =
-                match parallel_plan with
-                | `Off -> Off
-                | `Pinned r -> Pinned r
-                | `Cubes _ | `Race _ -> Pinned "presolve answered the query"
-              in
-              ( Engine.refuted_outcome q,
-                base "presolve" `Refuted parallel
-                  [ ("presolve", `Cost 0.) ]
-                  [] [] ))
-      | `Reduced _ | `Skipped -> (
+      let parallel =
+        match parallel_plan with
+        | `Off -> Off
+        | `Pinned r -> Pinned r
+        | `Cubes _ | `Race _ -> assert false (* Repair is never cubed or raced *)
+      in
+      ( outcome,
+        base step presolve parallel
+          [ ("ladder", `Cost (Engine.ladder_cost_bits q)) ]
+          [] stages )
+  | _, `Refuted ->
+      let parallel =
+        match parallel_plan with
+        | `Off -> Off
+        | `Pinned r -> Pinned r
+        | `Cubes _ | `Race _ -> Pinned "presolve answered the query"
+      in
+      ( Engine.refuted_outcome q,
+        base "presolve" `Refuted parallel [ ("presolve", `Cost 0.) ] [] [] )
+  | _, ((`Reduced _ | `Skipped) as presolve) -> (
+      match engine with
+      | (`Sat | `Linear | `Mitm) as f -> (
+          let name =
+            match f with `Sat -> "sat" | `Linear -> "linear" | `Mitm -> "mitm"
+          in
+          let e = Option.get (forced name) in
+          match e.Engine.capable ctx q with
+          | Ok () ->
+              run_engine presolve [ (name, `Cost (e.Engine.cost_bits ctx q)) ] e
+          | Error reason ->
+              (* an incapable forced engine silently falls through to SAT *)
+              run_engine
+                ~fallbacks:[ (name, reason) ]
+                presolve
+                [ (name, `Rejected reason) ]
+                Engine.sat)
+      | `Auto -> (
           let considered =
             List.map
               (fun e ->
@@ -349,20 +346,23 @@ let check ?assume ?conflict_budget encoding entry prop =
    but that cannot be known without doing the refutation. *)
 let cost_estimate (s : session) (q : Query.t) =
   check_encoding ~who:"Plan.cost_estimate" s q.encoding;
-  let ctx = Engine.context ~rank:(Lazy.force s.ses_rank) q in
-  let eligible =
-    List.filter_map
-      (fun e ->
-        if e.Engine.name = "sat" then None
-        else
-          match policy_eligible ctx q e with
-          | Ok () -> Some (e.Engine.cost_bits ctx q)
-          | Error _ -> None)
-      Engine.all
-  in
-  match List.sort Float.compare eligible with
-  | c :: _ -> c
-  | [] -> Engine.sat.Engine.cost_bits ctx q
+  match q.answer with
+  | Query.Repair _ -> Engine.ladder_cost_bits q
+  | _ -> (
+      let ctx = Engine.context ~rank:(Lazy.force s.ses_rank) q in
+      let eligible =
+        List.filter_map
+          (fun e ->
+            if e.Engine.name = "sat" then None
+            else
+              match policy_eligible ctx q e with
+              | Ok () -> Some (e.Engine.cost_bits ctx q)
+              | Error _ -> None)
+          Engine.all
+      in
+      match List.sort Float.compare eligible with
+      | c :: _ -> c
+      | [] -> Engine.sat.Engine.cost_bits ctx q)
 
 let run_stream_emit ?assume ?conflict_budget ?(repair = 0) ?jobs
     ?(flush = ignore) (s : session) entries ~emit =

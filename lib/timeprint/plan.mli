@@ -7,12 +7,19 @@
     + {b rank-refute}: the F₂ presolve runs first; an inconsistent
       [A | TP] answers the query with zero solver work (skipped for
       [Certified] queries, which must produce a DRAT refutation);
-    + {b MITM} when [k ≤ 8] (triple table and probe count capped, see
-      {!Combinatorial_reconstruct.feasible}), no properties are
-      assumed, and, at [k ≥ 7], the answer is [First] (any other
-      answer builds the whole preimage) — the half-sum meet probes the
-      smallest indices and finds each complement through a key
-      directory in O(1);
+    + {b repair}: a [Repair] climbs the repair ladder whatever engine
+      was asked for ({!Engine.ladder}): its meet rungs, then the solver
+      for the rest, and the report names the step that answered;
+    + {b MITM} when the meet over the columns the assumed [Window] and
+      [Allowed] leave is {!Combinatorial_reconstruct.feasible_in}:
+      [k ≤ 8] within the triple table's and the probe count's caps,
+      [k = 9, 10] only below the SAT baseline, and a [Check] only
+      where the meet is priced below SAT. Assumed properties filter it
+      exactly and confine its sweep, and every answer stops once
+      decided ([First] at a witness, a capped answer one past its cap,
+      [Check] at a satisfying and a violating witness) — the
+      half-sum meet probes the smallest indices and finds each
+      complement through a key directory in O(1);
     + {b coset enumeration} when the nullity is at most
       {!linear_nullity_threshold} — the whole solution space is smaller
       than a SAT solver's warm-up (when both MITM and linear apply, the
@@ -58,7 +65,9 @@ type parallelism =
 type report = {
   chosen : string;
       (** engine that produced the outcome; ["presolve"] when the rank
-          check refuted the entry before any engine ran *)
+          check refuted the entry before any engine ran. For a
+          [Repair], the ladder's step that answered: ["presolve"],
+          ["mitm"] or ["sat"] *)
   presolve :
     [ `Refuted
     | `Refuted_but_repairable
@@ -71,7 +80,8 @@ type report = {
   preimage_bits : float;  (** [log₂ C(m,k) − b] *)
   considered : (string * [ `Cost of float | `Rejected of string ]) list;
       (** every engine, with its cost estimate or the reason it was
-          ruled out (capability or policy) *)
+          ruled out (capability or policy); a [Repair] lists the one
+          ["ladder"] with its price ({!Engine.ladder_cost_bits}) *)
   fallbacks : (string * string) list;
       (** forced engines that could not run: [(name, reason)]; the
           query silently fell through to SAT *)
@@ -153,7 +163,8 @@ val run :
     above; forcing an engine bypasses the policy but not the
     capability guards — an incapable forced engine is recorded in
     [fallbacks] and the query runs on SAT instead (never an
-    exception).
+    exception). A [Repair] ignores the choice: it always climbs the
+    ladder.
 
     [jobs] enables query-level parallelism: when the SAT engine runs a
     [First]/[Enumerate]/[Count] query whose preimage estimate clears
@@ -192,8 +203,11 @@ val enumerate :
   Log_entry.t ->
   Sat_reconstruct.enumeration
 (** All reconstructions, or the first [max_solutions] (the paper's
-    [.10] columns use [10]). The exact engines return the preimage
-    sorted rather than in solver discovery order. *)
+    [.10] columns use [10]). The exact engines return a whole preimage
+    sorted by {!Signal.compare}; a capped one holds the first members
+    in their enumeration order — for the meet, lexicographic in the
+    change list — rather than the smallest ones. SAT lists either in
+    solver discovery order. *)
 
 val check :
   ?assume:Property.t list ->
@@ -219,10 +233,11 @@ val run_stream :
 (** Planned witness reconstruction of a log stream, in order: each
     entry climbs the repair ladder at flip budget [repair] (default
     [0]). Its meet step ({!Sat_reconstruct.meet_step}) rank-refutes an
-    inconsistent entry for free and, with no properties assumed,
-    answers every bottom rung {!Sat_reconstruct.meet_wins} prices on
-    the meet — at [repair = 0] the single rung is the clean lookup, the
-    stream's fast path; the entries it leaves pending share one
+    inconsistent entry for free and answers every bottom rung
+    {!Sat_reconstruct.meet_wins} prices on the meet, the assumed
+    properties filtering and confining it — at [repair = 0] the single
+    rung is the clean lookup, the stream's fast path; the entries it
+    leaves pending share one
     incremental parity-select solver ({!Sat_reconstruct.solver_step} —
     the stream capability the planner exploits). The tag says which
     step decided each entry: [`Presolve] (no rung ran), [`Mitm] (the

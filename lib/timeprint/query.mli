@@ -10,7 +10,8 @@
 type answer =
   | First  (** one witness, or [`Unsat] *)
   | Enumerate of { max_solutions : int option }
-      (** the preimage, possibly truncated *)
+      (** the preimage, possibly truncated: a capped answer lists the
+          first members its engine finds, not the smallest ones *)
   | Count of { max_solutions : int option }
       (** the preimage size, [`Exact] when provably exhausted. Every
           engine probes one solution past a cap, so a preimage that
@@ -25,15 +26,17 @@ type answer =
   | Repair of { max_flips : int; k_slack : int }
       (** minimal-error explanation of a possibly corrupted entry: up
           to [max_flips] timeprint bit errors and a change counter off
-          by at most [k_slack] — only the SAT engine is capable; it
-          climbs the repair ladder, meet rungs first
-          ({!Sat_reconstruct.meet_step}) *)
+          by at most [k_slack] — no single engine answers it; it climbs
+          the repair ladder ({!Engine.ladder}): meet rungs first
+          ({!Sat_reconstruct.meet_step}), the solver for the rest *)
 
 type t = {
   encoding : Encoding.t;
   entry : Log_entry.t;
   assume : Property.t list;
-      (** properties known to hold; they prune every answer *)
+      (** properties known to hold; they prune every answer — on the
+          meet, [Window] and [Allowed] also confine the sweep to their
+          columns *)
   conflict_budget : int option;
       (** bound on each SAT solve, when a SAT engine runs the query *)
   answer : answer;

@@ -555,33 +555,36 @@ let warm_of_skeleton ~m ~b cnf =
    the fallback once the exact engines price themselves out. *)
 let cost_baseline = 20.
 
-(* Whether [lookups = C(b, flips)] meet lookups at this k beat one SAT
-   solve. A single lookup at k ≤ 4 always does (at most C(m, 2)
-   probes); otherwise the meet's total price — flip sets times probes
-   — must undercut the SAT baseline, which at m = 32 holds for a
-   single lookup up to k = 8. [meet_step] asks it at each rung, so at
-   [flips = 0] it is the stream's fast path. *)
-let meet_wins encoding ~k ~flips =
-  let m = Encoding.m encoding and b = Encoding.b encoding in
-  Combinatorial_reconstruct.feasible encoding ~k
+(* Whether [lookups = C(b, flips)] meet lookups at this k, over the w
+   columns the assumed properties leave, beat one SAT solve. A single
+   lookup at k ≤ 4 always does (at most C(m, 2) probes); otherwise the
+   meet's total price — flip sets times probes — must undercut the SAT
+   baseline, which at m = 32 holds for a single lookup up to k = 9.
+   [meet_step] asks it at each rung, so at [flips = 0] it is the
+   stream's fast path. *)
+let meet_wins ?(assume = []) encoding ~k ~flips =
+  let b = Encoding.b encoding in
+  let w = Combinatorial_reconstruct.width ~m:(Encoding.m encoding) assume in
+  Combinatorial_reconstruct.feasible_in encoding ~w ~k
   && flips >= 0 && flips <= b
   && ((flips = 0 && k <= 4)
-     || Signal.log2_choose b flips +. Combinatorial_reconstruct.cost_bits ~m ~k
+     || Signal.log2_choose b flips +. Combinatorial_reconstruct.cost_bits ~m:w ~k
         < cost_baseline)
 
 (* Rung [f] of the ladder on the meet: the C(b, f) flip sets [F] of
-   weight f in lexicographic order, one exact lookup each on
+   weight f in lexicographic order, one filtered lookup each on
    [(TP ⊕ e_F, k)]. The first hit explains the entry with exactly f
    flipped bits. *)
-let meet_rung table encoding entry f =
-  if f = 0 then Combinatorial_reconstruct.first ~table encoding entry
+let meet_rung ~assume table encoding entry f =
+  if f = 0 then Combinatorial_reconstruct.first ~assume ~table encoding entry
   else
     let b = Encoding.b encoding and k = Log_entry.k entry in
     let tp = Bitvec.copy (Log_entry.tp entry) in
     let flip j = Bitvec.set tp j (not (Bitvec.get tp j)) in
     let rec pick lo f =
       if f = 0 then
-        Combinatorial_reconstruct.first ~table encoding (Log_entry.make ~tp ~k)
+        Combinatorial_reconstruct.first ~assume ~table encoding
+          (Log_entry.make ~tp ~k)
       else
         let rec from j =
           if j > b - f then None
@@ -634,31 +637,33 @@ type step =
   | Pending of pending
 
 (* The meet step: the rank check, then every rung at the bottom of the
-   ladder that [meet_wins] prices on the meet. Only exact-k rungs
-   ([d = 0]) run there, and none with properties assumed. A ladder that
+   ladder that [meet_wins] prices on the meet, over the columns the
+   assumed properties leave. Only exact-k rungs ([d = 0]) run there;
+   the assumed properties filter each lookup exactly. A ladder that
    runs out is quarantined: [`Mitm] if the meet swept a rung, else
    [`Presolve] (rank-refuted without a budget, or [k − k_slack > m]).
    The climb is a top-level function, not a closure: the stream's fast
    path runs it once per entry. *)
-let rec meet_climb ~meet ~table encoding entry swept = function
+let rec meet_climb ~meet ~assume ~table encoding entry swept = function
   | (f, 0) :: rest
-    when meet && meet_wins encoding ~k:(Log_entry.k entry) ~flips:f -> (
-      match meet_rung (Lazy.force table) encoding entry f with
+    when meet && meet_wins ~assume encoding ~k:(Log_entry.k entry) ~flips:f
+    -> (
+      match meet_rung ~assume (Lazy.force table) encoding entry f with
       | Some s ->
           Answered (`Signal s, (if f = 0 then Clean else Repaired f), `Mitm)
-      | None -> meet_climb ~meet ~table encoding entry true rest)
+      | None -> meet_climb ~meet ~assume ~table encoding entry true rest)
   | [] -> Answered (`Unsat, Quarantined, if swept then `Mitm else `Presolve)
   | rungs -> Pending { p_entry = entry; p_rungs = rungs }
 
-let meet_step ?(assume = []) ?(presolve = true) ?(k_slack = 0) ~repair ~shared
-    ~table encoding entry =
+let meet_step ?(assume = []) ?(presolve = true) ?(meet = true) ?(k_slack = 0)
+    ~repair ~shared ~table encoding entry =
   if repair < 0 || k_slack < 0 then
     invalid_arg "Sat_reconstruct.meet_step: negative budget";
   let m = Encoding.m encoding and b = Encoding.b encoding in
   if Bitvec.width (Log_entry.tp entry) <> b then
     invalid_arg "Sat_reconstruct.meet_step: timeprint width <> encoding b";
   let refuted = presolve && Presolve.refutes_with (Lazy.force shared) entry in
-  meet_climb ~meet:(assume = []) ~table encoding entry false
+  meet_climb ~meet ~assume ~table encoding entry false
     (ladder ~m ~b ~k:(Log_entry.k entry) ~repair ~k_slack ~refuted)
 
 (* The solver step. One solver serves every pending entry: the

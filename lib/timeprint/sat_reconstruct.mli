@@ -299,13 +299,16 @@ val cost_baseline : float
     elementary steps) — a flat baseline, since CDCL work has no clean
     analytic model. The exact engines price themselves against it. *)
 
-val meet_wins : Encoding.t -> k:int -> flips:int -> bool
+val meet_wins :
+  ?assume:Property.t list -> Encoding.t -> k:int -> flips:int -> bool
 (** Whether answering the [C(b, flips)] flip sets of rung [(flips, 0)]
     with one meet-in-the-middle lookup each
-    ({!Combinatorial_reconstruct.first}) beats one SAT solve: [k] is
-    {!Combinatorial_reconstruct.feasible}, [0 ≤ flips ≤ b], and either
-    [flips = 0 ∧ k ≤ 4] or
-    [log₂ C(b, flips) + Combinatorial_reconstruct.cost_bits ~m ~k]
+    ({!Combinatorial_reconstruct.first}, filtered by [assume] and
+    confined to its {!Combinatorial_reconstruct.span} of [w] columns;
+    [w = m] without a [Window] or [Allowed]) beats one SAT solve: the
+    meet over [w] columns is {!Combinatorial_reconstruct.feasible_in},
+    [0 ≤ flips ≤ b], and either [flips = 0 ∧ k ≤ 4] or
+    [log₂ C(b, flips) + Combinatorial_reconstruct.cost_bits ~m:w ~k]
     is below {!cost_baseline}. {!meet_step} asks it at every rung, so
     at [flips = 0] it is the stream's fast path. *)
 
@@ -326,6 +329,7 @@ type step =
 val meet_step :
   ?assume:Property.t list ->
   ?presolve:bool ->
+  ?meet:bool ->
   ?k_slack:int ->
   repair:int ->
   shared:Presolve.shared Lazy.t ->
@@ -336,17 +340,21 @@ val meet_step :
 (** One entry's bottom rungs at flip budget [repair] and counter slack
     [k_slack] (default [0]). When [presolve] (default [true]) the rank
     check ({!Presolve.refutes_with} on [shared]) runs first, and a
-    refuted entry skips its [f = 0] rungs. Then, without [assume]d
-    properties, each exact-[k] rung [(f, 0)] that {!meet_wins} prices
-    runs on the meet against [table]: the flip sets [F] of weight [f]
-    in lexicographic order, one {!Combinatorial_reconstruct.first}
-    lookup each on [(TP ⊕ e_F, k)], the first hit being the witness
-    ([Clean] at [f = 0], [Repaired f] above). The first rung the meet
-    is not priced to take makes the entry [Pending] from that rung; a
-    ladder that runs out is [(`Unsat, Quarantined)]. At [m = 32, b = 11]
-    the meet takes rung 0 for every [k ≤ 8], rung 1 for [k ≤ 7] and
+    refuted entry skips its [f = 0] rungs. Then each exact-[k] rung
+    [(f, 0)] that {!meet_wins} prices (with the same [assume]) runs on
+    the meet against [table]: the flip sets [F] of weight [f] in
+    lexicographic order, one {!Combinatorial_reconstruct.first} lookup
+    each on [(TP ⊕ e_F, k)], filtered by [assume] and confined to its
+    span, the first hit being the witness ([Clean] at [f = 0],
+    [Repaired f] above). The first rung the meet is not priced to take
+    makes the entry [Pending] from that rung; a ladder that runs out is
+    [(`Unsat, Quarantined)]. Without properties, at [m = 32, b = 11]
+    the meet takes rung 0 for every [k ≤ 9], rung 1 for [k ≤ 7] and
     rungs 2–3 for [k ≤ 6]; at [m = 128, b = 16], rung 0 for [k ≤ 6],
-    rungs 1–2 for [k ≤ 5] and rung 3 for [k ≤ 3]. [shared] and
+    rungs 1–2 for [k ≤ 5] and rung 3 for [k ≤ 3]; a [Window] or
+    [Allowed] narrows the columns and so can admit more. [meet]
+    (default [true]) set to [false] leaves every rung to the solver
+    step, the reference the meet rungs must agree with. [shared] and
     [table] are forced only when a rung needs them; a caller that
     shares one table across domains runs this step on one domain,
     since the table memoizes its triple half. Raises

@@ -335,7 +335,8 @@ let test_plan_reports_refuted_but_repairable () =
   | _ -> Alcotest.fail "expected a repaired outcome");
   Alcotest.(check bool) "presolve upgraded to Refuted_but_repairable" true
     (report.Plan.presolve = `Refuted_but_repairable);
-  Alcotest.(check string) "sat ran it" "sat" report.Plan.chosen;
+  (* the ladder's rung 1 runs on the meet here, and the report names it *)
+  Alcotest.(check string) "the meet answered" "mitm" report.Plan.chosen;
   (* ...and with a zero budget the planner answers Unrepairable for free *)
   let q0 =
     Query.make ~answer:(Query.Repair { max_flips = 0; k_slack = 0 }) e corrupted
@@ -487,14 +488,16 @@ let test_repair_batch_propagations () =
   if propagations > bound then
     Alcotest.failf "repair batch: %d propagations, bound %d" propagations bound
 
-(* The same work count on batches whose every entry reaches the solver,
-   since the meet takes every rung 0 and most rungs 1 of [counter_log]:
-   32 entries with k = 9..15, past the meet's reach, at repair 0
-   exercise the cycle counter; 16 one-bit-flipped k = 9, 10 entries at
-   repair 1 exercise the error counter too. Guarded groups cost 227_959
-   and 44_694 propagations on these two batches, the shared counters
-   26_280 and 10_333; each batch is bounded by half its guarded figure,
-   and must cost the solver some work. *)
+(* The same work count on batches that reach the solver, since the
+   meet takes every rung 0 and most rungs 1 of [counter_log]: 32
+   entries with k = 9..15 at repair 0 exercise the cycle counter; 16
+   one-bit-flipped k = 9, 10 entries at repair 1 exercise the error
+   counter too. The meet answers their k = 9 entries at rung 0 (its
+   reach at m = 32), so the solver sees the rest. Guarded groups cost
+   227_959 and 44_694 propagations on these two batches when all of
+   them reached the solver, the shared counters 26_280 and 10_333, and
+   17_543 and 5_124 on what the meet leaves; each batch is bounded by
+   half its guarded figure, and must cost the solver some work. *)
 let test_solver_batch_propagations () =
   let e, _ = counter_log () in
   let m = Encoding.m e in
@@ -664,11 +667,11 @@ let test_rung0_swept_once () =
       | _ -> Alcotest.fail "stream: expected Repaired 1 from the solver")
 
 (* A seeded m = 32 (b = 11) log in the perfbench repair shape: k ≤ 5
-   entries, every third with one flipped bit, k = 9, 10 entries past
+   entries, every third with one flipped bit, k = 11, 12 entries past
    the meet's reach, then k = 7, 8 entries, clean and one bit flipped.
    The meet answers every k ≤ 8 entry without touching the solver (at
    b = 11 a flipped k = 7, 8 timeprint still has a preimage, so rung 0
-   answers it); the k = 9, 10 entries need the solver. *)
+   answers it); the k = 11, 12 entries need the solver. *)
 let repair_shaped_log () =
   let m = 32 in
   let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m () in
@@ -676,7 +679,7 @@ let repair_shaped_log () =
   let flip en = Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ] in
   let log =
     List.init 24 (fun i ->
-        let k = if i mod 4 = 3 then 9 + (i / 4 mod 2) else i mod 6 in
+        let k = if i mod 4 = 3 then 11 + (i / 4 mod 2) else i mod 6 in
         let en = Logger.abstract e (Signal.random rng ~m ~k) in
         if i mod 3 = 0 && k <= 5 then flip en else en)
   in
@@ -705,6 +708,65 @@ let test_meet_rungs_cost_no_solver_work () =
           true
           (st <> Tp_sat.Solver.zero_stats))
     (List.combine log (Sat_reconstruct.batch ~repair:1 e log))
+
+(* The ladder with a window and a deadline assumed: the meet climbs
+   its rungs with the filter, confined to the window's columns. Every
+   entry of a seeded m = 32 log (k = 0..10, every third with one
+   flipped bit, some violating the properties) gets the health the
+   solver step alone gives it, and each meet witness satisfies the
+   properties and lies within its flips of the entry. *)
+let test_meet_rungs_with_properties () =
+  let e, log = repair_shaped_log () in
+  let m = Encoding.m e in
+  let rng = Random.State.make [| 41 |] in
+  let log =
+    log
+    @ List.init 12 (fun i ->
+          let en = Logger.abstract e (Signal.random rng ~m ~k:(i mod 11)) in
+          if i mod 3 = 0 then
+            Fault.flip_tp en ~bits:[ Random.State.int rng (Encoding.b e) ]
+          else en)
+  in
+  let assume =
+    [ Property.window ~lo:2 ~hi:29; Property.deadline ~count:1 ~before:16 ]
+  in
+  let shared = lazy (Presolve.shared e)
+  and table = lazy (Combinatorial_reconstruct.pair_table e) in
+  let solver_only =
+    Sat_reconstruct.solver_step ~assume e
+      (List.map
+         (fun en ->
+           match
+             Sat_reconstruct.meet_step ~assume ~meet:false ~repair:1 ~shared
+               ~table e en
+           with
+           | Sat_reconstruct.Pending p -> p
+           | Sat_reconstruct.Answered _ ->
+               Alcotest.fail "without the meet every entry is pending")
+         log)
+  in
+  let climbed = Sat_reconstruct.batch ~assume ~repair:1 e log in
+  let meet_answered = ref 0 in
+  List.iteri
+    (fun i (en, ((v, h, st), (_, h_ref, _))) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "entry %d: health = the solver step's" i)
+        true (h = h_ref);
+      if st = Tp_sat.Solver.zero_stats then incr meet_answered;
+      match (v, h) with
+      | `Signal s, (Sat_reconstruct.Clean | Sat_reconstruct.Repaired _) ->
+          let w = match h with Sat_reconstruct.Repaired w -> w | _ -> 0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "entry %d: witness satisfies the properties" i)
+            true
+            (List.for_all (fun p -> Property.eval p s) assume);
+          Alcotest.(check bool)
+            (Printf.sprintf "entry %d: witness %d flips away" i w)
+            true (witness_at e en s w)
+      | _ -> ())
+    (List.combine log (List.combine climbed solver_only));
+  Alcotest.(check bool) "the meet answered some entries" true
+    (!meet_answered > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The traced replay's contract                                         *)
@@ -864,6 +926,8 @@ let () =
               test_rung0_swept_once;
             Alcotest.test_case "meet-answered entries cost no solver work"
               `Quick test_meet_rungs_cost_no_solver_work;
+            Alcotest.test_case "meet rungs with a window and a deadline"
+              `Quick test_meet_rungs_with_properties;
           ] );
       ("replay-contract", qt [ prop_replay_contract ]);
       ( "count-regression",

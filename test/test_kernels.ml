@@ -176,14 +176,17 @@ let prop_mitm_wide_b =
 
 let test_mitm_supported_bounds () =
   let enc = Encoding.one_hot ~m:8 in
-  Alcotest.(check bool) "k=7 supported" true (Combinatorial_reconstruct.supported ~k:7);
   Alcotest.(check bool) "k=8 supported" true (Combinatorial_reconstruct.supported ~k:8);
-  Alcotest.(check bool) "k=9 unsupported" false (Combinatorial_reconstruct.supported ~k:9);
+  Alcotest.(check bool) "k=9 supported" true (Combinatorial_reconstruct.supported ~k:9);
+  Alcotest.(check bool) "k=10 supported" true (Combinatorial_reconstruct.supported ~k:10);
+  Alcotest.(check bool) "k=11 unsupported" false (Combinatorial_reconstruct.supported ~k:11);
   Alcotest.(check bool) "feasible k=8 small m" true
     (Combinatorial_reconstruct.feasible enc ~k:8);
-  let en = Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0 ]) ~k:9 in
-  Alcotest.check_raises "k=9 raises"
-    (Invalid_argument "Combinatorial_reconstruct: k > 8 unsupported") (fun () ->
+  Alcotest.(check bool) "feasible k=10 small m" true
+    (Combinatorial_reconstruct.feasible enc ~k:10);
+  let en = Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0 ]) ~k:11 in
+  Alcotest.check_raises "k=11 raises"
+    (Invalid_argument "Combinatorial_reconstruct: k > 10 unsupported") (fun () ->
       ignore (Combinatorial_reconstruct.preimage enc en))
 
 (* ------------------------------------------------------------------ *)
@@ -325,6 +328,148 @@ let test_pack_table_witnesses () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* The filtered, confined, capped meet vs the coset oracle             *)
+
+(* Properties the meet filters (all of them) or confines its sweep to
+   (Window, Allowed): windows may be empty or reach past either end. *)
+let gen_property ~m =
+  QCheck.Gen.(
+    let cycle = int_range (-2) (m + 2) in
+    oneof
+      [
+        map2 (fun lo hi -> Property.Window { lo; hi }) cycle cycle;
+        map
+          (fun ws -> Property.Allowed ws)
+          (list_size (int_range 0 2) (pair cycle cycle));
+        map2
+          (fun count before -> Property.Deadline { count; before })
+          (int_range 0 3) (int_range 0 m);
+        return Property.P2;
+      ])
+
+type meet_case = {
+  mc_m : int;
+  mc_k : int;
+  mc_b : int;
+  mc_seed : int;
+  mc_flip : bool;
+  mc_assume : Property.t list;
+  mc_cap : int option;
+  mc_check : Property.t;
+}
+
+let gen_meet_case =
+  QCheck.Gen.(
+    int_range 4 16 >>= fun m ->
+    int_range 0 (min 10 m) >>= fun k ->
+    int_range 5 12 >>= fun b ->
+    int_range 0 100000 >>= fun seed ->
+    bool >>= fun flip ->
+    list_size (int_range 0 2) (gen_property ~m) >>= fun assume ->
+    opt (int_range 0 4) >>= fun cap ->
+    gen_property ~m >|= fun check ->
+    {
+      mc_m = m;
+      mc_k = k;
+      mc_b = b;
+      mc_seed = seed;
+      mc_flip = flip;
+      mc_assume = assume;
+      mc_cap = cap;
+      mc_check = check;
+    })
+
+let print_meet_case c =
+  Format.asprintf "m=%d k=%d b=%d seed=%d flip=%b assume=[%a] cap=%s check=%a"
+    c.mc_m c.mc_k c.mc_b c.mc_seed c.mc_flip
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+       Property.pp)
+    c.mc_assume
+    (match c.mc_cap with None -> "none" | Some n -> string_of_int n)
+    Property.pp c.mc_check
+
+(* Every answer kind on the meet ([Plan.run ~engine:`Mitm], which must
+   not fall back at m ≤ 16) against the filtered coset preimage: a
+   capped answer holds min(N, |P|) distinct members of P and reads
+   exact exactly when P fits under the cap, an uncapped one is P
+   sorted, a witness is a member, and a check agrees with the verdict
+   P implies. *)
+let prop_meet_filtered_capped =
+  QCheck.Test.make
+    ~name:"filtered, confined, capped meet = Linear_reconstruct.preimage_with"
+    ~count:300
+    (QCheck.make ~print:print_meet_case gen_meet_case)
+    (fun c ->
+      let m = c.mc_m and k = c.mc_k in
+      let enc =
+        Encoding.random_constrained ~depth:2 ~seed:c.mc_seed ~m ~b:c.mc_b ()
+      in
+      let st = Random.State.make [| c.mc_seed; 10 |] in
+      let entry = Logger.abstract enc (Signal.random st ~m ~k) in
+      let entry =
+        if c.mc_flip then Fault.flip_tp entry ~bits:[ Random.State.int st c.mc_b ]
+        else entry
+      in
+      let assume = c.mc_assume in
+      let oracle =
+        List.sort Signal.compare
+          (Linear_reconstruct.preimage_with enc entry ~assume)
+      in
+      let size = List.length oracle in
+      let member s = List.exists (Signal.equal s) oracle in
+      let distinct l = List.length (List.sort_uniq Signal.compare l) = List.length l in
+      let fits = match c.mc_cap with None -> true | Some n -> size <= n in
+      let expect_n = match c.mc_cap with None -> size | Some n -> min n size in
+      let run answer =
+        let outcome, report =
+          Plan.run ~engine:`Mitm (Query.make ~assume ~answer enc entry)
+        in
+        if report.Plan.chosen <> "mitm" then
+          QCheck.Test.fail_reportf "the meet fell back: %s" report.Plan.chosen;
+        outcome
+      in
+      let direct =
+        Combinatorial_reconstruct.preimage_with ?max_solutions:c.mc_cap enc entry
+          ~assume
+      in
+      let direct_ok =
+        List.length direct = expect_n && distinct direct
+        && List.for_all member direct
+        && (c.mc_cap <> None || List.equal Signal.equal direct oracle)
+      in
+      let enumerate_ok =
+        match run (Query.Enumerate { max_solutions = c.mc_cap }) with
+        | Engine.Enumeration { signals; complete } ->
+            List.length signals = expect_n && distinct signals
+            && List.for_all member signals && complete = fits
+            && (c.mc_cap <> None || List.equal Signal.equal signals oracle)
+        | _ -> false
+      in
+      let count_ok =
+        match run (Query.Count { max_solutions = c.mc_cap }) with
+        | Engine.Count (n, exact) -> n = expect_n && (exact = `Exact) = fits
+        | _ -> false
+      in
+      let first_ok =
+        match run Query.First with
+        | Engine.Verdict (`Signal w) -> member w
+        | Engine.Verdict `Unsat -> oracle = []
+        | _ -> false
+      in
+      let check_ok =
+        let holds = List.filter (Property.eval c.mc_check) oracle in
+        let expect =
+          if oracle = [] then `Vacuous
+          else if List.length holds = size then `Holds_in_all
+          else if holds = [] then `Violated_in_all
+          else `Mixed
+        in
+        run (Query.Check c.mc_check) = Engine.Check expect
+      in
+      direct_ok && enumerate_ok && count_ok && first_ok && check_ok)
+
 (* A forced meet at k ≥ 7 is bounded by its probe count, not just by
    the triple cap: C(m, k − 3) probes over 2^23 make it incapable, so
    [Plan.run ~engine:`Mitm] falls through to SAT. *)
@@ -369,5 +514,10 @@ let () =
             test_pack_table_witnesses;
           Alcotest.test_case "forced meet bounded at k >= 7" `Quick
             test_forced_meet_bounded;
+        ] );
+      ( "mitm-filtered",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
+            prop_meet_filtered_capped;
         ] );
     ]

@@ -266,9 +266,12 @@ let test_stream_identity_grid () =
 
 let test_warm_batch () =
   let w = Sat_reconstruct.warm enc in
-  (* the k = 9 entries, past the meet's reach, are the ones a warm
+  (* k = 11 entries, past the meet's reach, are the ones a warm
      skeleton serves *)
-  let high = List.filter (fun e -> Log_entry.k e >= 9) entries in
+  let high =
+    let st = Random.State.make [| 0x5EED; 11 |] in
+    List.init 3 (fun _ -> Logger.abstract enc (Signal.random st ~m ~k:11))
+  in
   let cold = Sat_reconstruct.batch enc high in
   let warm = Sat_reconstruct.batch ~warm:w enc high in
   Alcotest.(check bool) "warm batch = cold batch" true (cold = warm);

@@ -336,7 +336,7 @@ let test_single_core_check_pinned () =
   | _ -> Alcotest.fail "jobs=2 unbudgeted check must race a portfolio"
 
 (* without jobs the whole pending list is one chunk, solved inline by
-   exactly one solver step; the log's k = 9, 10 entries are past the
+   exactly one solver step; the log's k = 11, 12 entries are past the
    meet's reach, so every entry is pending *)
 let test_batch_emit_one_chunk_without_jobs () =
   let m = 24 and b = 14 in
@@ -344,7 +344,7 @@ let test_batch_emit_one_chunk_without_jobs () =
   let st = Random.State.make [| 99 |] in
   let log =
     List.init 12 (fun i ->
-        let en = Logger.abstract enc (Signal.random st ~m ~k:(9 + (i mod 2))) in
+        let en = Logger.abstract enc (Signal.random st ~m ~k:(11 + (i mod 2))) in
         if i mod 3 = 0 then Fault.flip_tp en ~bits:[ Random.State.int st b ]
         else en)
   in

@@ -120,6 +120,81 @@ let prop_cross_engine_counts =
       in
       uncapped && capped)
 
+(* Auto against forced SAT with a property assumed — P2, a deadline or
+   a window — on every answer kind: at k ≤ 8 auto runs them on the
+   filtered, confined meet. Verdict kinds, counts and check verdicts
+   must match; each witness abstracts back and satisfies the
+   properties, and each capped list holds members of SAT's preimage. *)
+let prop_auto_vs_sat_with_properties =
+  QCheck.Test.make ~name:"auto = forced SAT with P2, Dk or a window assumed"
+    ~count:30
+    QCheck.(triple (int_range 0 100_000) (int_range 0 8) (int_range 0 2))
+    (fun (seed, k, which) ->
+      let m = 20 in
+      let e = Encoding.random_constrained ~depth:2 ~seed ~m ~b:9 () in
+      let st = Random.State.make [| seed; 21 |] in
+      let en = Logger.abstract e (Signal.random st ~m ~k) in
+      let assume =
+        [
+          (match which with
+          | 0 -> Property.p2
+          | 1 -> Property.deadline ~count:(min 2 k) ~before:10
+          | _ -> Property.window ~lo:3 ~hi:16);
+        ]
+      in
+      let both answer =
+        let q = Query.make ~assume ~answer e en in
+        (fst (Plan.run q), fst (Plan.run ~engine:`Sat q))
+      in
+      let sound s =
+        Log_entry.equal en (Logger.abstract e s)
+        && List.for_all (fun p -> Property.eval p s) assume
+      in
+      let all =
+        match both (Query.Enumerate { max_solutions = None }) with
+        | ( Engine.Enumeration { signals = a; complete = true },
+            Engine.Enumeration { signals = b; complete = true } ) ->
+            let a = signal_set a and b = signal_set b in
+            if List.equal Signal.equal a b && List.for_all sound a then Some b
+            else None
+        | _ -> None
+      in
+      match all with
+      | None -> false
+      | Some preimage ->
+          let member s = List.exists (Signal.equal s) preimage in
+          let first =
+            match both Query.First with
+            | Engine.Verdict (`Signal a), Engine.Verdict (`Signal b) ->
+                sound a && sound b
+            | Engine.Verdict `Unsat, Engine.Verdict `Unsat -> preimage = []
+            | _ -> false
+          in
+          let capped =
+            List.for_all
+              (fun cap ->
+                (match both (Query.Count { max_solutions = Some cap }) with
+                | Engine.Count (a, ea), Engine.Count (b, eb) -> a = b && ea = eb
+                | _ -> false)
+                &&
+                match both (Query.Enumerate { max_solutions = Some cap }) with
+                | ( Engine.Enumeration { signals = a; complete = ca },
+                    Engine.Enumeration { signals = b; complete = cb } ) ->
+                    List.length a = List.length b
+                    && ca = cb && List.for_all member a
+                | _ -> false)
+              [ 0; 1; 3 ]
+          in
+          let check =
+            List.for_all
+              (fun p ->
+                match both (Query.Check p) with
+                | Engine.Check a, Engine.Check b -> a = b
+                | _ -> false)
+              [ Property.p2; Property.deadline ~count:1 ~before:8 ]
+          in
+          first && capped && check)
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: huge nullity falls through to SAT, never raises          *)
 
@@ -149,20 +224,19 @@ let test_huge_nullity_falls_through () =
      C(70,4) probes (2^19.8) undercut SAT, so it takes the query *)
   let _, report = Plan.run q in
   Alcotest.(check string) "auto avoids linear" "mitm" report.Plan.chosen;
-  (* at k ≥ 7 the meet takes First only: a Check or a capped Enumerate
-     would build the whole preimage, about C(70,7)/2^7 ≈ 9.4·10⁶
-     signals here, so auto — and admission, which prices auto's
-     choice — leaves both to SAT. Priced rather than run: SAT takes
-     over a minute on them here. *)
+  (* every answer at k = 7 is the meet's: a capped Enumerate stops one
+     past its cap and a Check at its first pair of a satisfying and a
+     violating witness, so auto — and admission, which prices auto's
+     choice — price them all at the meet's probes. Priced rather than
+     run: the preimage holds about C(70,7)/2^7 ≈ 9.4·10⁶ signals. *)
   let session = Plan.session e in
   let price answer = Plan.cost_estimate session (Query.make ~answer e en) in
-  Alcotest.(check (float 1e-9)) "first priced as the meet"
-    (Engine.mitm_cost_bits ~m:70 ~k:7) (price Query.First);
   List.iter
     (fun (what, answer) ->
-      Alcotest.(check (float 1e-9)) (what ^ " priced as SAT")
-        Sat_reconstruct.cost_baseline (price answer))
+      Alcotest.(check (float 1e-9)) (what ^ " priced as the meet")
+        (Engine.mitm_cost_bits ~m:70 ~k:7) (price answer))
     [
+      ("first", Query.First);
       ("check", Query.Check (Property.deadline ~count:1 ~before:35));
       ("enumerate <= 10", Query.Enumerate { max_solutions = Some 10 });
     ];
@@ -230,16 +304,17 @@ let test_batch_presolve_refutes () =
       Alcotest.(check int) "zero propagations" 0 st.Tp_sat.Solver.propagations
   | _ -> Alcotest.fail "expected [witness; refuted]");
   (* same verdicts with the presolve disabled, where the solver grinds
-     them out: k = 9 entries, past the meet's reach, on m = 12
+     them out: k = 11 entries, past the meet's reach, on m = 12
      timestamps that never set bit 5 of b = 6 *)
   let e =
     Encoding.custom
       (Array.init 12 (fun i -> Bitvec.of_int ~width:6 (1 + (i * 7 mod 31))))
   in
   let good =
-    Logger.abstract e (Signal.of_changes ~m:12 [ 0; 1; 2; 4; 5; 7; 8; 10; 11 ])
+    Logger.abstract e
+      (Signal.of_changes ~m:12 [ 0; 1; 2; 3; 4; 5; 7; 8; 9; 10; 11 ])
   in
-  let bad = Log_entry.make ~tp:(Bitvec.of_int ~width:6 32) ~k:9 in
+  let bad = Log_entry.make ~tp:(Bitvec.of_int ~width:6 32) ~k:11 in
   Alcotest.(check bool) "premise: bad is rank-refuted" true
     (Presolve.refutes e bad);
   match Sat_reconstruct.batch ~presolve:false e [ good; bad ] with
@@ -260,6 +335,50 @@ let test_plan_refutes_for_free () =
     (count_of outcome = (0, `Exact))
 
 (* ------------------------------------------------------------------ *)
+(* A Repair reports the step of the ladder that answered it            *)
+
+let test_repair_names_its_step () =
+  let m = 32 in
+  let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m () in
+  let st = Random.State.make [| 24 |] in
+  let repair en =
+    Plan.run (Query.make ~answer:(Query.Repair { max_flips = 1; k_slack = 0 }) e en)
+  in
+  let engine_of line =
+    List.find_map
+      (fun tok ->
+        match String.split_on_char '=' tok with
+        | [ "engine"; v ] -> Some v
+        | _ -> None)
+      (String.split_on_char ' ' line)
+  in
+  let expect what step (outcome, report) =
+    Alcotest.(check string) (what ^ ": chosen") step report.Plan.chosen;
+    Alcotest.(check (option string)) (what ^ ": meta engine") (Some step)
+      (engine_of (Plan.meta_line report));
+    Alcotest.(check bool) (what ^ ": one ladder line considered") true
+      (List.map fst report.Plan.considered = [ "ladder" ]);
+    outcome
+  in
+  (* k = 2 with one flipped bit: the meet's rung 1 answers *)
+  let clean = Logger.abstract e (Signal.random st ~m ~k:2) in
+  let flipped = Fault.flip_tp clean ~bits:[ 4 ] in
+  (match expect "meet" "mitm" (repair flipped) with
+  | Engine.Repair (`Clean s) | Engine.Repair (`Repaired { r_signal = s; _ }) ->
+      Alcotest.(check bool) "meet: witness within one flip" true
+        (Bitvec.popcount
+           (Bitvec.logxor (Log_entry.tp (Logger.abstract e s)) (Log_entry.tp flipped))
+        <= 1)
+  | _ -> Alcotest.fail "meet: expected a repair");
+  (* k = 11, past the meet's reach: the solver answers rung 0 *)
+  let high = Logger.abstract e (Signal.random st ~m ~k:11) in
+  match expect "solver" "sat" (repair high) with
+  | Engine.Repair (`Clean s) ->
+      Alcotest.(check bool) "solver: witness abstracts back" true
+        (Log_entry.equal high (Logger.abstract e s))
+  | _ -> Alcotest.fail "solver: expected a clean witness"
+
+(* ------------------------------------------------------------------ *)
 (* Planner choices and stream dispatch                                 *)
 
 let test_planner_choices () =
@@ -275,16 +394,16 @@ let test_planner_choices () =
     (run ~k_changes:[ 1; 4 ] ());
   Alcotest.(check string) "k>4, small nullity -> linear" "linear"
     (run ~k_changes:[ 0; 2; 4; 6; 8 ] ());
-  Alcotest.(check string) "properties veto mitm" "linear"
+  Alcotest.(check string) "properties filter the meet" "mitm"
     (run ~assume:[ Property.deadline ~count:2 ~before:9 ] ~k_changes:[ 1; 4 ] ());
-  (* k ≥ 7: the meet answers First only, even where it is cheap *)
+  (* k ≥ 7: the meet answers every kind, each stopping once decided *)
   let e = Encoding.random_constrained_auto ~depth:4 ~seed:2019 ~m:32 () in
   let en = Logger.abstract e (Signal.random (Random.State.make [| 7 |]) ~m:32 ~k:7) in
   let chosen answer = (snd (Plan.run (Query.make ~answer e en))).Plan.chosen in
   Alcotest.(check string) "k = 7 first -> mitm" "mitm" (chosen Query.First);
-  Alcotest.(check string) "k = 7 check -> sat" "sat"
+  Alcotest.(check string) "k = 7 check -> mitm" "mitm"
     (chosen (Query.Check (Property.deadline ~count:1 ~before:16)));
-  Alcotest.(check string) "k = 7 enumerate <= 10 -> sat" "sat"
+  Alcotest.(check string) "k = 7 enumerate <= 10 -> mitm" "mitm"
     (chosen (Query.Enumerate { max_solutions = Some 10 }))
 
 let test_run_stream () =
@@ -473,11 +592,11 @@ let test_stream_bursts () =
   let e = Encoding.random_constrained ~m ~b:12 ~seed:7 () in
   let st = Random.State.make [| 0xB0057 |] in
   let entry k = Logger.abstract e (Signal.random st ~m ~k) in
-  (* a fast-path prefix, then SAT-routed k = 9 entries (past MITM's
+  (* a fast-path prefix, then SAT-routed k = 11 entries (past MITM's
      reach) mixed with more fast ones — enough to fill two SAT chunks *)
   let prefix = List.init 4 (fun i -> entry (1 + (i mod 3))) in
   let rest =
-    List.concat (List.init 10 (fun i -> [ entry 9; entry (1 + (i mod 4)) ]))
+    List.concat (List.init 10 (fun i -> [ entry 11; entry (1 + (i mod 4)) ]))
   in
   let s = Plan.session e in
   let line = Tp_service.Render.entry_line in
@@ -538,6 +657,7 @@ let () =
             prop_cross_engine_sets true;
             prop_cross_engine_check;
             prop_cross_engine_counts;
+            prop_auto_vs_sat_with_properties;
           ] );
       ( "capabilities",
         [
@@ -565,5 +685,7 @@ let () =
           Alcotest.test_case "stream bursts flushed" `Quick test_stream_bursts;
           Alcotest.test_case "explainable report" `Quick test_explain_report;
           Alcotest.test_case "meta line format pinned" `Quick test_meta_line;
+          Alcotest.test_case "repair names the step that answered" `Quick
+            test_repair_names_its_step;
         ] );
     ]

@@ -690,12 +690,13 @@ let test_trace_buffer_vs_timeprint_storage () =
 
 let test_combinatorial_rejects_large_k () =
   let e = Encoding.one_hot ~m:8 in
-  let en = Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0 ]) ~k:9 in
-  Alcotest.(check bool) "k=7 supported" true (Combinatorial_reconstruct.supported ~k:7);
+  let en = Log_entry.make ~tp:(Bitvec.of_indices ~width:8 [ 0 ]) ~k:11 in
   Alcotest.(check bool) "k=8 supported" true (Combinatorial_reconstruct.supported ~k:8);
-  Alcotest.(check bool) "k=9 unsupported" false (Combinatorial_reconstruct.supported ~k:9);
+  Alcotest.(check bool) "k=9 supported" true (Combinatorial_reconstruct.supported ~k:9);
+  Alcotest.(check bool) "k=10 supported" true (Combinatorial_reconstruct.supported ~k:10);
+  Alcotest.(check bool) "k=11 unsupported" false (Combinatorial_reconstruct.supported ~k:11);
   Alcotest.check_raises "raises"
-    (Invalid_argument "Combinatorial_reconstruct: k > 8 unsupported") (fun () ->
+    (Invalid_argument "Combinatorial_reconstruct: k > 10 unsupported") (fun () ->
       ignore (Combinatorial_reconstruct.preimage e en))
 
 let test_combinatorial_fig4 () =
@@ -930,8 +931,8 @@ let test_presolve_rank_refuted () =
   | `Unsat -> ()
   | _ -> Alcotest.fail "session first must be UNSAT"
 
-(* k = 9..12 entries, past the meet's reach, so the solver answers every
-   one in both modes *)
+(* k = 11, 12 entries, past the meet's reach, so the solver answers
+   every one in both modes *)
 let test_batch_gauss_modes_agree () =
   let m = 12 in
   let e = Encoding.random_constrained ~m ~b:10 ~seed:7 () in
@@ -939,7 +940,7 @@ let test_batch_gauss_modes_agree () =
     List.map
       (fun mask ->
         Logger.abstract e (Signal.of_bitvec (Bitvec.of_int ~width:m mask)))
-      [ 0b111111111000; 0b110111011111; 0b111111111111; 0b011111110111 ]
+      [ 0b111111111110; 0b110111111111; 0b111111111111; 0b011111111111 ]
   in
   let check label verdicts =
     List.iter2
